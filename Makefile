@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race cover bench bench-queue bench-sweep bench-json bench-compare test-alloc test-shard test-debugpackets test-faults test-serve test-workload golden smoke-examples smoke-specs smoke-serve ci
+.PHONY: all vet build test race cover bench bench-queue bench-sweep bench-json bench-compare test-alloc test-shard test-debugpackets test-faults test-serve test-workload test-perfbench golden smoke-examples smoke-specs smoke-serve ci
 
 all: vet build test
 
@@ -105,6 +105,13 @@ test-workload:
 	$(GO) test -race ./internal/workload/
 	$(GO) test -race -run 'LoadLatency|OpenLoop|AxisLoad' ./internal/experiments/
 
+# test-perfbench runs the repository benchmark's own tests in quick mode:
+# every workload end to end at tiny windows, its counter pass and the
+# check that the counter pass reproduces experiments.Run. perfbench is a
+# nested module, so the root `go test ./...` does not include it.
+test-perfbench:
+	cd perfbench && $(GO) test ./...
+
 # smoke-serve boots the service end to end: start `ibsim serve`, POST a
 # committed spec twice (cold run, then checkpoint-memo replay) and diff
 # both streams against `ibsim run -format jsonl` of the same spec.
@@ -155,4 +162,4 @@ smoke-specs:
 		$(GO) run ./cmd/ibsim run -spec "$$f" -measure 3ms -warmup 1ms -seeds 1 >/dev/null; \
 	done
 
-ci: vet build test race cover test-alloc test-shard test-faults test-serve test-workload test-debugpackets smoke-examples smoke-serve
+ci: vet build test race cover test-alloc test-shard test-faults test-serve test-workload test-perfbench test-debugpackets smoke-examples smoke-serve

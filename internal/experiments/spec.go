@@ -561,6 +561,12 @@ func (p Point) validateTenants(path string) error {
 	if p.QoS != QoSShared {
 		return fmt.Errorf("spec: %s.tenants: slicing derives its own SL-to-VL setup and cannot combine with qos %q", path, p.QoS)
 	}
+	if p.Shards > 1 {
+		// A tenant's injection bucket is one object shared by all its NICs;
+		// shards advancing in parallel (or at different local clocks within
+		// an epoch) would race on it and break shard-count equality.
+		return fmt.Errorf("spec: %s.tenants: slicing shares one injection bucket per tenant across shards and cannot combine with shards %d (use 0 or 1)", path, p.Shards)
+	}
 	if len(p.Tenants) > ib.NumVLs {
 		return fmt.Errorf("spec: %s.tenants: %d tenants exceed the %d virtual lanes", path, len(p.Tenants), ib.NumVLs)
 	}
@@ -707,7 +713,7 @@ type Metrics struct {
 	// Delivered the destination-metered goodput; the sojourn quantiles
 	// cover arrival→completion (backlog wait included); BacklogMax is the
 	// deepest per-source backlog, averaged across seeds (so fractional).
-	OfferedGbps, DeliveredGbps               float64
+	OfferedGbps, DeliveredGbps                float64
 	SojournP50Us, SojournP99Us, SojournP999Us float64
 	BacklogMax                                float64
 }

@@ -182,6 +182,8 @@ func TestSpecValidationErrors(t *testing.T) {
 			`references workload[1], out of range [0, 1)`},
 		{"tenant double ownership", `{"base":{"topology":{"kind":"star"},"workload":[{"kind":"bsg","count":2,"payload":4096},{"kind":"lsg"}],"tenants":[{"name":"a","promised_gbps":10,"groups":[0,1]},{"name":"b","promised_gbps":10,"groups":[1]}]},"collect":["slice_gbps"]}`,
 			`workload[1] already owned by tenants[0]`},
+		{"tenants with shards", `{"base":{"topology":{"kind":"fattree","fattree":{"tiers":3,"pods":2,"leaves":2,"hosts_per_leaf":2,"spines":1}},"shards":2,"workload":[{"kind":"bsg","count":2,"payload":4096}],"tenants":[{"name":"a","promised_gbps":10,"groups":[0]}]},"collect":["slice_gbps"]}`,
+			`base.tenants: slicing shares one injection bucket per tenant across shards and cannot combine with shards 2`},
 		{"tenant incomplete coverage", `{"base":{"topology":{"kind":"star"},"workload":[{"kind":"bsg","count":2,"payload":4096},{"kind":"lsg"}],"tenants":[{"name":"a","promised_gbps":10,"groups":[0]}]},"collect":["slice_gbps"]}`,
 			`workload[1] is owned by no tenant`},
 	}

@@ -129,13 +129,9 @@ type Port struct {
 	// the receiver half of a cross-shard credit gate (SetIngressCross).
 	// Nil on every local port, so the common path keeps its direct
 	// devirtualized BufferGate calls and pays one predictable branch.
-	xacct  link.IngressAccounting
-	queues [ib.NumVLs]vlQueue
-	qbytes [ib.NumVLs]units.ByteSize
-	// vlMask has bit v set iff queues[v] is non-empty — the queue-head
-	// metadata the egress arbiters iterate instead of probing all NumVLs
-	// rings of every input port on every pick.
-	vlMask  uint16
+	xacct   link.IngressAccounting
+	queues  [ib.NumVLs]vlQueue
+	qbytes  [ib.NumVLs]units.ByteSize
 	departH departHandler
 
 	// Egress. wire is the attached transmitter; lwire is the same object
@@ -160,6 +156,13 @@ type Port struct {
 	// elig is the arbiter's candidate scratch, reused across picks so
 	// steady-state arbitration performs no growing appends.
 	elig []candidate
+	// Head index: heads[in] has bit v set iff input port in's VL-v queue
+	// head is routed out this port, and inputs has bit in set iff heads[in]
+	// is non-zero. pick walks exactly these (input, VL) pairs instead of
+	// every input × VL of the switch. Both slices are windows into
+	// per-switch blocks (see New), not allocations of their own.
+	heads  []uint16
+	inputs []uint64
 
 	// Devirtualization caches for the egress (see the wire comment above).
 	lwire  *link.Wire
@@ -204,19 +207,21 @@ type Switch struct {
 	// tables.
 	listed [ib.NumVLs]bool
 	ports  []*Port
-	routes map[ib.NodeID]int
+	// routes[node] is node's egress port, -1 for none. Node IDs are dense
+	// host indices, so the per-packet lookup is a slice index, not a hash.
+	routes []int32
 	limits [ib.NumVLs]*tokenBucket
 	name   string
 
 	// Failover state (fault runs only; zero cost otherwise — deliver and
 	// pick guard on downCount > 0 / portDown non-nil). portDown marks
-	// egress ports that must not start new transmissions; uplinks maps a
-	// destination to the port group destination-modulo routing may fall
-	// over to while its primary is down (the topology registers shared
-	// slices, one per routing group). downCount counts true entries.
+	// egress ports that must not start new transmissions; uplinks[dest] is
+	// the port group destination-modulo routing may fall over to while
+	// dest's primary is down (the topology registers shared slices, one per
+	// routing group). downCount counts true entries.
 	portDown  []bool
 	downCount int
-	uplinks   map[ib.NodeID][]int
+	uplinks   [][]int
 	// FailedOver counts packets whose egress was redirected off a downed
 	// primary (tests and diagnostics).
 	FailedOver uint64
@@ -246,12 +251,16 @@ func New(eng *sim.Engine, name string, par model.SwitchParams, nPorts int, jitte
 		sl2vl:  ib.DefaultSL2VL(),
 		policy: FCFS,
 		vlarb:  ib.SingleVLArb(),
-		routes: make(map[ib.NodeID]int),
 		name:   name,
 	}
 	sw.listed = listedVLs(sw.vlarb)
+	words := (nPorts + 63) / 64
+	heads := make([]uint16, nPorts*nPorts)
+	inputs := make([]uint64, nPorts*words)
 	for i := 0; i < nPorts; i++ {
 		p := &Port{sw: sw, idx: i}
+		p.heads = heads[i*nPorts : (i+1)*nPorts : (i+1)*nPorts]
+		p.inputs = inputs[i*words : (i+1)*words : (i+1)*words]
 		p.departH.p = p
 		p.gate = link.NewBufferGate(eng, par.CreditReturnDelay, par.WindowFor)
 		p.gate.SetName(fmt.Sprintf("%s.p%d:in", name, i))
@@ -303,8 +312,8 @@ func listedVLs(cfg ib.VLArbConfig) (listed [ib.NumVLs]bool) {
 // (per-destination map entries alias it), in construction order, so the
 // grouping is identical at every shard count.
 func (sw *Switch) SetUplinks(dest ib.NodeID, group []int) {
-	if sw.uplinks == nil {
-		sw.uplinks = make(map[ib.NodeID][]int)
+	for int(dest) >= len(sw.uplinks) {
+		sw.uplinks = append(sw.uplinks, nil)
 	}
 	sw.uplinks[dest] = group
 }
@@ -329,18 +338,16 @@ func (sw *Switch) SetPortDown(i int, down bool) {
 	sw.kick(sw.ports[i])
 }
 
-// PortIsDown reports whether port i is administratively down.
-func (sw *Switch) PortIsDown(i int) bool {
-	return sw.portDown != nil && sw.portDown[i]
-}
-
 // failover redirects a packet for dest off its downed primary port: the
 // surviving ports of the destination's group are counted and the
 // dest-modulo-survivors one is chosen, so the spread stays deterministic
 // and allocation-free. With no registered group or no survivor the primary
 // is kept — the packet queues and waits for the heal.
 func (sw *Switch) failover(dest ib.NodeID, primary int) int {
-	group := sw.uplinks[dest]
+	var group []int
+	if int(dest) < len(sw.uplinks) {
+		group = sw.uplinks[dest]
+	}
 	alive := 0
 	for _, p := range group {
 		if !sw.portDown[p] {
@@ -364,12 +371,17 @@ func (sw *Switch) failover(dest ib.NodeID, primary int) int {
 	return primary
 }
 
-// SetRoute directs traffic for node via port.
+// SetRoute directs traffic for node via port. Nodes may be routed in any
+// order; the table grows to the largest node ID seen, and IDs never routed
+// keep no route.
 func (sw *Switch) SetRoute(node ib.NodeID, port int) {
 	if port < 0 || port >= len(sw.ports) {
 		panic(fmt.Sprintf("ibswitch %s: route to invalid port %d", sw.name, port))
 	}
-	sw.routes[node] = port
+	for int(node) >= len(sw.routes) {
+		sw.routes = append(sw.routes, -1)
+	}
+	sw.routes[node] = int32(port)
 }
 
 // AttachPeer wires port i's egress to a peer endpoint whose ingress credits
@@ -417,12 +429,6 @@ func (sw *Switch) IngressGate(i int) *link.BufferGate { return sw.ports[i].gate 
 // fault controller.
 func (sw *Switch) EgressWire(i int) *link.Wire { return sw.ports[i].lwire }
 
-// EgressCross returns port i's cross-shard egress wire (nil when local).
-func (sw *Switch) EgressCross(i int) *link.CrossWire {
-	cw, _ := sw.ports[i].wire.(*link.CrossWire)
-	return cw
-}
-
 // Ingress returns the link.Endpoint for packets arriving at port i.
 func (sw *Switch) Ingress(i int) link.Endpoint { return ingress{sw.ports[i]} }
 
@@ -436,8 +442,11 @@ func (in ingress) DeliverArrival(pkt *ib.Packet, arriveStart, arriveEnd units.Ti
 func (p *Port) deliver(pkt *ib.Packet, arriveStart, arriveEnd units.Time) {
 	ib.AssertLive(pkt)
 	sw := p.sw
-	out, ok := sw.routes[pkt.DestNode]
-	if !ok {
+	out := -1
+	if uint(pkt.DestNode) < uint(len(sw.routes)) {
+		out = int(sw.routes[pkt.DestNode])
+	}
+	if out < 0 {
 		panic(fmt.Sprintf("ibswitch %s: no route for node %d", sw.name, pkt.DestNode))
 	}
 	if sw.downCount > 0 && sw.portDown[out] {
@@ -454,14 +463,17 @@ func (p *Port) deliver(pkt *ib.Packet, arriveStart, arriveEnd units.Time) {
 	if sw.par.JitterMean > 0 {
 		ready = ready.Add(units.Duration(sw.jitter.Exp(float64(sw.par.JitterMean))))
 	}
-	p.queues[vl].push(queuedPacket{
+	q := &p.queues[vl]
+	q.push(queuedPacket{
 		pkt:     pkt,
 		arrival: arriveStart,
 		ready:   ready,
 		size:    pkt.WireSize(),
 		outPort: out,
 	})
-	p.vlMask |= 1 << vl
+	if q.len() == 1 {
+		sw.ports[out].addHead(p.idx, vl)
+	}
 	p.qbytes[vl] += pkt.WireSize()
 	sw.ports[out].backlog++
 	// The new packet cannot be served before its cut-through gate opens;
@@ -545,9 +557,25 @@ type candidate struct {
 	qp     *queuedPacket
 }
 
-// pick runs the egress arbiter for out. It reuses out.elig as candidate
-// scratch and walks each input port's non-empty-VL mask, so a steady-state
-// arbitration touches no allocator.
+// addHead records that input in's VL-vl queue head is routed out e.
+func (e *Port) addHead(in int, vl ib.VL) {
+	e.heads[in] |= 1 << vl
+	e.inputs[in>>6] |= 1 << uint(in&63)
+}
+
+// dropHead clears what addHead recorded.
+func (e *Port) dropHead(in int, vl ib.VL) {
+	if e.heads[in] &^= 1 << vl; e.heads[in] == 0 {
+		e.inputs[in>>6] &^= 1 << uint(in&63)
+	}
+}
+
+// pick runs the egress arbiter for out. It walks out's head index — only
+// the (input, VL) queue heads routed here, in ascending input and then VL
+// order, the order a scan of every input × VL would visit them in — so
+// its cost scales with the inputs contending for out, not the radix. It
+// reuses out.elig as candidate scratch, so a steady-state arbitration
+// touches no allocator.
 func (sw *Switch) pick(out *Port) {
 	now := sw.eng.Now()
 	if out.wire == nil {
@@ -566,45 +594,45 @@ func (sw *Switch) pick(out *Port) {
 	eligible := out.elig[:0]
 	nextReady := units.MaxTime
 	activeInputs := 0
-	for _, in := range sw.ports {
-		inActive := false
-		for mask := in.vlMask; mask != 0; mask &= mask - 1 {
-			vl := bits.TrailingZeros16(mask)
-			head := in.queues[vl].front()
-			if head.outPort != out.idx {
-				continue // head-of-line: rest of this FIFO is blocked
-			}
-			// The rearbitration overhead applies between inputs with
-			// standing backlogs; a port holding less than two full frames
-			// (e.g. the LSG's lone 64 B probe) does not slow the crossbar.
-			if in.qbytes[vl] > arbBacklogThreshold {
-				inActive = true
-			}
-			if head.ready > now {
-				if head.ready < nextReady {
-					nextReady = head.ready
+	for w, word := range out.inputs {
+		for ; word != 0; word &= word - 1 {
+			in := sw.ports[w<<6|bits.TrailingZeros64(word)]
+			inActive := false
+			for mask := out.heads[in.idx]; mask != 0; mask &= mask - 1 {
+				vl := bits.TrailingZeros16(mask)
+				head := in.queues[vl].front()
+				// The rearbitration overhead applies between inputs with
+				// standing backlogs; a port holding less than two full frames
+				// (e.g. the LSG's lone 64 B probe) does not slow the crossbar.
+				if in.qbytes[vl] > arbBacklogThreshold {
+					inActive = true
 				}
-				continue
-			}
-			if lim := sw.limits[vl]; lim != nil {
-				if ok, at := lim.ready(now, head.size); !ok {
-					if at < nextReady {
-						nextReady = at
+				if head.ready > now {
+					if head.ready < nextReady {
+						nextReady = head.ready
 					}
 					continue
 				}
+				if lim := sw.limits[vl]; lim != nil {
+					if ok, at := lim.ready(now, head.size); !ok {
+						if at < nextReady {
+							nextReady = at
+						}
+						continue
+					}
+				}
+				if !out.egate.TryReserve(ib.VL(vl), head.size) {
+					// Downstream credits exhausted; the gate's release hook
+					// will re-kick this egress.
+					continue
+				}
+				// Tentatively reserved; only one candidate wins, so release
+				// the others below by tracking reservations.
+				eligible = append(eligible, candidate{inPort: in.idx, vl: ib.VL(vl), qp: head})
 			}
-			if !out.egate.TryReserve(ib.VL(vl), head.size) {
-				// Downstream credits exhausted; the gate's release hook
-				// will re-kick this egress.
-				continue
+			if inActive {
+				activeInputs++
 			}
-			// Tentatively reserved; only one candidate wins, so release
-			// the others below by tracking reservations.
-			eligible = append(eligible, candidate{inPort: in.idx, vl: ib.VL(vl), qp: head})
-		}
-		if inActive {
-			activeInputs++
 		}
 	}
 	if len(eligible) == 0 {
@@ -826,12 +854,14 @@ func (sw *Switch) transmit(out *Port, c candidate, activeInputs int) {
 	q.pop()
 	in.qbytes[c.vl] -= qp.size
 	if q.len() == 0 {
-		in.vlMask &^= 1 << c.vl
-	} else if next := q.front().outPort; next != out.idx {
+		out.dropHead(in.idx, c.vl)
+	} else if next := sw.ports[q.front().outPort]; next != out {
 		// Dequeuing may expose a head bound for a different egress port;
 		// that port must re-arbitrate or a rare flow behind a busy one
 		// would starve (classic input-queued switch bookkeeping).
-		sw.kick(sw.ports[next])
+		out.dropHead(in.idx, c.vl)
+		next.addHead(in.idx, c.vl)
+		sw.kick(next)
 	}
 
 	if lim := sw.limits[c.vl]; lim != nil {

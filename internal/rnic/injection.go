@@ -18,8 +18,10 @@ import (
 // One InjectionLimiter is shared by every member NIC of a tenant, so the
 // promised rate bounds the tenant's aggregate injection, not a per-NIC
 // share: a single busy member may use the whole slice while the others
-// are quiet. Sharing mutable state across NICs is safe under the sealed-
-// run model — all NICs of a run live on one engine.
+// are quiet. Sharing mutable state across NICs is safe only while all the
+// member NICs live on one engine. A sharded run puts NICs on per-shard
+// engines that advance concurrently, so the spec layer rejects tenants
+// with more than one shard.
 //
 // Scope: the bucket meters data packets bound for the fabric wire.
 // Loopback traffic never leaves the NIC, and ACKs are exempt overhead —

@@ -63,7 +63,7 @@ type Event struct {
 	seq   uint64 // tie-break: FIFO among equal timestamps
 	fn    func()
 	h     Handler
-	index int   // slot within the wheel bucket, drain buffer, or far heap; -1 once popped or canceled
+	index int   // slot within the wheel bucket or far heap (0 in the drain buffer, found by key); -1 once popped or canceled
 	lvl   int8  // location code: wheel level, locDrain, or locFar (see wheel.go)
 	bkt   int16 // wheel bucket index (meaningful for wheel levels only)
 	label string
@@ -244,10 +244,8 @@ func (e *Engine) Reschedule(ev *Event, at units.Time) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: rescheduling %q at %v, before now %v", ev.label, at, e.now))
 	}
-	ev.at = at
-	ev.seq = e.seq
+	e.queue.move(ev, at, e.seq)
 	e.seq++
-	e.queue.move(ev)
 }
 
 // Stop makes Run return after the current event completes.

@@ -44,7 +44,11 @@ package sim
 // between the clock and curTick are inserted into the (sorted) drain
 // buffer, which is always served before the wheel advances again.
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"repro/internal/units"
+)
 
 const (
 	// tickBits sets the level-0 tick: 2^16 ps = 65.536 ns.
@@ -135,7 +139,7 @@ func (w *wheel) remove(ev *Event) {
 func (w *wheel) unlink(ev *Event) {
 	switch ev.lvl {
 	case locDrain:
-		w.drainRemove(ev.index)
+		w.drainRemove(ev)
 	case locFar:
 		w.far.remove(ev.index)
 	default:
@@ -155,11 +159,19 @@ func (w *wheel) unlink(ev *Event) {
 	}
 }
 
-// move re-files ev after the engine updated its (at, seq) — Reschedule's
-// backend. The hot wake pattern moves an event by less than a bucket span,
-// in which case nothing needs to be re-filed at all.
-func (w *wheel) move(ev *Event) {
-	tick := tickOf(int64(ev.at))
+// move re-keys ev to (at, seq) and re-files it — Reschedule's backend. The
+// hot wake pattern moves an event by less than a bucket span, in which case
+// nothing needs to be re-filed at all. A drain entry is located by its
+// (at, seq) key, so it is unlinked under the old key before the overwrite.
+func (w *wheel) move(ev *Event, at units.Time, seq uint64) {
+	if ev.lvl == locDrain {
+		w.drainRemove(ev)
+		ev.at, ev.seq = at, seq
+		w.insert(ev)
+		return
+	}
+	ev.at, ev.seq = at, seq
+	tick := tickOf(int64(at))
 	if lvl := ev.lvl; lvl >= 0 && lvl < numLevels {
 		shift := uint(lvl) * levelBits
 		if int((tick>>shift)&bucketMask) == int(ev.bkt) && w.fits(int(lvl), tick) {
@@ -335,18 +347,28 @@ func (w *wheel) drainBucket(idx int) {
 		}
 		d[j] = ev
 	}
-	for i, ev := range d {
+	for _, ev := range d {
 		ev.lvl = locDrain
-		ev.index = i
+		ev.index = 0
 	}
 }
 
 // drainInsert files ev into the drain buffer at its (at, seq) position.
 // The engine hands out strictly increasing seq on every (re)schedule, so
-// ev orders after any drained event with an equal timestamp.
+// ev orders after any drained event with an equal timestamp, and an event
+// at or after the last entry's time is a plain append. Drain entries carry
+// no position (index stays 0 while pending): drainRemove finds them by
+// key, so an insert never re-numbers the tail it shifts.
 func (w *wheel) drainInsert(ev *Event) {
+	ev.lvl = locDrain
+	ev.index = 0
 	d := w.drain
-	lo, hi := w.drainHead, len(d)
+	n := len(d)
+	if n == w.drainHead || d[n-1].at <= ev.at {
+		w.drain = append(d, ev)
+		return
+	}
+	lo, hi := w.drainHead, n-1
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if d[mid].at <= ev.at {
@@ -355,28 +377,48 @@ func (w *wheel) drainInsert(ev *Event) {
 			hi = mid
 		}
 	}
+	if h := w.drainHead; h > 0 && lo-h < n-lo {
+		// Nearer the head: slide the shorter pending prefix into the
+		// popped slot before it instead of the tail after it.
+		copy(d[h-1:lo-1], d[h:lo])
+		d[lo-1] = ev
+		w.drainHead = h - 1
+		return
+	}
 	d = append(d, nil)
 	copy(d[lo+1:], d[lo:])
 	d[lo] = ev
-	ev.lvl = locDrain
-	ev.index = lo
-	for j := lo + 1; j < len(d); j++ {
-		d[j].index = j
-	}
 	w.drain = d
 }
 
-// drainRemove deletes the drain entry at absolute position i.
-func (w *wheel) drainRemove(i int) {
+// drainRemove deletes ev from the drain buffer. The pending entries
+// (from drainHead on) are sorted by (at, seq) and seq is unique, so a
+// binary search on ev's current key lands on it exactly.
+func (w *wheel) drainRemove(ev *Event) {
 	d := w.drain
-	n := len(d) - 1
-	copy(d[i:], d[i+1:])
-	d[n] = nil
-	d = d[:n]
-	for j := i; j < n; j++ {
-		d[j].index = j
+	lo, hi := w.drainHead, len(d)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if eventLess(d[mid], ev) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	w.drain = d
+	if lo == len(d) || d[lo] != ev {
+		panic("sim: drain entry not found under its (at, seq) key")
+	}
+	if h := w.drainHead; lo-h < len(d)-1-lo {
+		// Close the gap from whichever side is shorter.
+		copy(d[h+1:lo+1], d[h:lo])
+		d[h] = nil
+		w.drainHead = h + 1
+	} else {
+		n := len(d) - 1
+		copy(d[lo:], d[lo+1:])
+		d[n] = nil
+		w.drain = d[:n]
+	}
 	if w.drainHead >= len(w.drain) {
 		w.drain = w.drain[:0]
 		w.drainHead = 0

@@ -393,3 +393,106 @@ func TestPropertyWheelMatchesHeapReference(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Property: the drain buffer — the sorted events of the tick being served
+// — keeps the heap reference's exact pop order through the operations that
+// touch its middle: inserts between packed same-tick entries, and cancels
+// and reschedules of drain-resident events to the same time, to a later
+// time in the same tick, and to a later tick. Few distinct timestamps per
+// tick make long runs of equal-time entries, so the (at, seq) key lookup
+// must tell ties apart by seq.
+func TestPropertyDrainBufferMatchesHeapReference(t *testing.T) {
+	src := rng.New(17)
+	maxDrain := 0
+	for trial := 0; trial < 300; trial++ {
+		e := New()
+		h := &heapCal{}
+		type pair struct{ ev, ref *Event }
+		var live []pair
+		var got, want []int64
+		nextID := 0
+		schedule := func(at units.Time) {
+			id := nextID
+			nextID++
+			ev := e.At(at, "d", func() { got = append(got, int64(id)) })
+			live = append(live, pair{ev, h.at(at, id)})
+		}
+		drop := func(i int) {
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+		pop := func() {
+			e.Step()
+			ref := h.q.pop()
+			want = append(want, ref.A)
+			for i := range live {
+				if live[i].ref == ref {
+					drop(i)
+					break
+				}
+			}
+		}
+		// inTick returns a time in [from, end of from's tick), drawn from
+		// eight slots per tick so equal timestamps are common.
+		inTick := func(from units.Time) units.Time {
+			end := units.Time((tickOf(int64(from)) + 1) << tickBits)
+			slot := units.Time(tickSpan / 8)
+			at := from + units.Time(src.Intn(8))*slot
+			if at >= end {
+				at = end - 1
+			}
+			return at
+		}
+
+		base := units.Time(tickSpan) * units.Time(1+src.Intn(50))
+		for n := 8 + src.Intn(56); n > 0; n-- {
+			schedule(inTick(base))
+		}
+		pop() // drains the packed bucket into the drain buffer
+		for op := 0; op < 150 && e.Pending() > 0; op++ {
+			if d := len(e.queue.drain) - e.queue.drainHead; d > maxDrain {
+				maxDrain = d
+			}
+			i := src.Intn(len(live))
+			switch src.Intn(6) {
+			case 0: // insert into the tick being served
+				schedule(inTick(e.Now()))
+			case 1:
+				e.Cancel(live[i].ev)
+				h.cancel(live[i].ref)
+				drop(i)
+			case 2: // same time: moves behind its equal-time peers
+				at := live[i].ev.Time()
+				e.Reschedule(live[i].ev, at)
+				h.reschedule(live[i].ref, at)
+			case 3: // later time, same tick
+				at := inTick(live[i].ev.Time())
+				e.Reschedule(live[i].ev, at)
+				h.reschedule(live[i].ref, at)
+			case 4: // a later tick
+				at := live[i].ev.Time() + units.Time(tickSpan)*units.Time(1+src.Intn(3))
+				e.Reschedule(live[i].ev, at)
+				h.reschedule(live[i].ref, at)
+			default:
+				pop()
+			}
+		}
+		for e.Pending() > 0 {
+			pop()
+		}
+		if h.q.len() != 0 {
+			t.Fatalf("trial %d: reference holds %d events after the engine drained", trial, h.q.len())
+		}
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: engine fired %d events, reference %d", trial, len(got), len(want))
+		}
+		for k := range got {
+			if got[k] != want[k] {
+				t.Fatalf("trial %d: pop %d fired event %d, reference %d", trial, k, got[k], want[k])
+			}
+		}
+	}
+	if maxDrain < 32 {
+		t.Fatalf("drain buffer never held more than %d pending events; the property was not exercised", maxDrain)
+	}
+}
