@@ -65,11 +65,12 @@ test-alloc:
 # test-shard runs the sharded-execution equivalence suite under -race: the
 # conservative coordinator's barrier modes, the cross-shard wire/credit
 # path, and the byte-equality of shards=1 vs sharded runs at every layer
-# (topology completion times, full experiment tables). -race matters here:
-# the channel-barrier mode is the only concurrent code in the simulator
-# core, and these tests drive it with real cross-shard traffic.
+# (topology completion times and wiring fingerprints, full experiment
+# tables). -race matters here: the channel-barrier mode is the only
+# concurrent code in the simulator core, and these tests drive it with
+# real cross-shard traffic.
 test-shard:
-	$(GO) test -race -run 'Shard|CrossWire|CrossGate|FatTree3|RunBefore' \
+	$(GO) test -race -run 'Shard|CrossWire|CrossGate|FatTree3|RunBefore|WiringFingerprint' \
 		./internal/sim/ ./internal/link/ ./internal/topology/ ./internal/experiments/
 
 # test-debugpackets runs the whole suite with the packet-pool poison mode
