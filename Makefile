@@ -25,7 +25,7 @@ bench:
 	$(GO) test -bench . -benchtime 1x ./...
 
 # bench-queue compares the timing-wheel calendar against the 4-ary-heap
-# and seed container/heap baselines (see internal/sim/queue_bench_test.go).
+# baseline (see internal/sim/queue_bench_test.go).
 bench-queue:
 	$(GO) test -run XXX -bench 'BenchmarkQueue' -benchtime 2s ./internal/sim/
 
@@ -70,7 +70,7 @@ test-alloc:
 # concurrent code in the simulator core, and these tests drive it with
 # real cross-shard traffic.
 test-shard:
-	$(GO) test -race -run 'Shard|CrossWire|CrossGate|FatTree3|RunBefore|WiringFingerprint' \
+	$(GO) test -race -run 'Shard|CrossWire|CrossGate|FatTree3|RunBefore|AllPairsReachable|WiringFingerprint' \
 		./internal/sim/ ./internal/link/ ./internal/topology/ ./internal/experiments/
 
 # test-debugpackets runs the whole suite with the packet-pool poison mode
@@ -135,10 +135,12 @@ smoke-serve:
 	echo "smoke-serve: cold and memo streams byte-identical to ibsim run"
 
 # golden regenerates the determinism golden files (fig7a star sweep,
-# fat-tree incast sweep, and the sharded bigfabric sweeps) after an
-# intentional model change.
+# fat-tree incast sweep, the sharded bigfabric sweeps, and the topology
+# wiring fingerprint, whose RTTs move with the model) after an intentional
+# model change.
 golden:
 	$(GO) test ./internal/experiments/ -run 'GoldenFile' -update
+	$(GO) test ./internal/topology/ -run 'WiringFingerprint' -update
 
 # smoke-examples runs every example binary end to end so the walkthroughs
 # cannot silently rot as the API evolves, then validates the committed

@@ -822,11 +822,17 @@ func (e *engine) process() {
 	}
 }
 
-// QueueLen reports an engine's backlog (tests).
-func (e *engine) QueueLen() int { return len(e.queue) }
-
-// EngineBacklog returns the number of packets queued on engine i.
-func (r *RNIC) EngineBacklog(i int) int { return r.engines[i].QueueLen() }
-
 // PendingOps reports outstanding un-acked operations (tests).
 func (r *RNIC) PendingOps() int { return r.pendingLive }
+
+// AddDeliverObserver chains fn onto the OnDeliver hook, after any observer
+// already installed, so several meters can share one destination.
+func (r *RNIC) AddDeliverObserver(fn DeliverFn) {
+	prev := r.OnDeliver
+	r.OnDeliver = func(pkt *ib.Packet, wireEnd units.Time) {
+		if prev != nil {
+			prev(pkt, wireEnd)
+		}
+		fn(pkt, wireEnd)
+	}
+}

@@ -1,10 +1,13 @@
-// Two-layer fat-tree fabric generation (the construction of Solnushkin's
-// "Automated Design of Two-Layer Fat-Tree Networks" specialized to the
-// paper's hardware): a row of leaf switches with hosts below and a row of
-// spine switches above, every leaf connected to every spine by a
-// configurable number of parallel trunks. Star and TwoTier are thin
-// wrappers over the same builder, so every topology shares one wiring and
-// routing derivation.
+// Fat-tree fabric generation: one layered builder for every switched
+// topology. Its unit is the pod of Solnushkin's "Automated Design of
+// Two-Layer Fat-Tree Networks", specialized to the paper's hardware: a row
+// of leaf switches with hosts below and a row of spine switches above,
+// every leaf connected to every spine by a configurable number of parallel
+// trunks. A two-layer fabric is one pod; a three-tier fabric is Pods of
+// them under a layer of core switches (see fattree3.go for the core cut
+// and the shard partitioner). Star and TwoTier are one- and two-leaf
+// spineless pods, so every topology shares one wiring and routing
+// derivation.
 package topology
 
 import (
@@ -14,6 +17,8 @@ import (
 	"repro/internal/ibswitch"
 	"repro/internal/link"
 	"repro/internal/model"
+	"repro/internal/rng"
+	"repro/internal/sim"
 )
 
 // FatTreeSpec configures the fabric generator. The JSON form is part of
@@ -174,9 +179,6 @@ func (s FatTreeSpec) TotalLeaves() int {
 // HostNode returns the node id of host h (0-based) under leaf l.
 func (s FatTreeSpec) HostNode(l, h int) int { return l*s.HostsPerLeaf + h }
 
-// LeafOf returns the leaf a node attaches to.
-func (s FatTreeSpec) LeafOf(node int) int { return node / s.HostsPerLeaf }
-
 func (s FatTreeSpec) String() string {
 	if s.Tiers == 3 {
 		return fmt.Sprintf("%dp%dx%d+%ds+%dc", s.Pods, s.Leaves, s.HostsPerLeaf, s.Spines, s.withDefaults().Cores)
@@ -184,32 +186,15 @@ func (s FatTreeSpec) String() string {
 	return fmt.Sprintf("%dx%d+%ds", s.Leaves, s.HostsPerLeaf, s.Spines)
 }
 
-// FatTree builds a two-layer fabric with automatically derived
-// destination-based routing (or, for Tiers == 3, the three-tier fabric on a
-// single shard). Node numbering is leaf-major: host h of (global) leaf l is
-// node l*HostsPerLeaf + h.
+// FatTree builds a fat-tree with automatically derived destination-based
+// routing: two-layer on the plain single engine, or (Tiers == 3) the
+// three-tier fabric on one shard. Node numbering is leaf-major: host h of
+// (global) leaf l is node l*HostsPerLeaf + h.
 func FatTree(par model.FabricParams, spec FatTreeSpec, seed uint64) (*Cluster, error) {
-	spec = spec.withDefaults()
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if spec.Tiers == 3 {
-		return FatTree3(par, spec, seed, 1)
-	}
-	hosts := make([]int, spec.Leaves)
-	for i := range hosts {
-		hosts[i] = spec.HostsPerLeaf
-	}
-	c := newCluster(par, seed)
-	buildTwoLayer(c, hosts, spec.Spines, spec.Trunks,
-		resolveLink(par, spec.HostLink), resolveLink(par, spec.TrunkLink),
-		fabricNames{
-			leaf:     func(l int) string { return fmt.Sprintf("leaf%d", l) },
-			leafRNG:  func(l int) string { return fmt.Sprintf("leaf%d", l) },
-			spine:    func(s int) string { return fmt.Sprintf("spine%d", s) },
-			spineRNG: func(s int) string { return fmt.Sprintf("spine%d", s) },
-		})
-	return c, nil
+	return spec.build(par, seed, 1, nil, nil)
 }
 
 func resolveLink(par model.FabricParams, override *model.LinkParams) model.LinkParams {
@@ -219,116 +204,224 @@ func resolveLink(par model.FabricParams, override *model.LinkParams) model.LinkP
 	return par.Link
 }
 
-// fabricNames decouples switch naming (and, critically, the labels their
-// jitter RNG streams derive from) from the builder, so the legacy Star and
-// TwoTier constructors reproduce their historical streams byte for byte.
-type fabricNames struct {
-	leaf, leafRNG, spine, spineRNG func(int) string
-}
-
-// buildTwoLayer wires a two-layer fabric into c and derives its routes.
+// build is the layered builder behind every switched topology. It wires
+// Pods pods (one for a two-layer fabric) of leaves and spines, adds the
+// core layer over cross-shard channels when Tiers is 3, and derives the
+// routes. hosts[l] is the host count under leaf l of each pod (nil:
+// HostsPerLeaf under every leaf). legacy, when non-nil, supplies leaf l's
+// historical switch name and RNG label in place of the generated ones.
+// Two-layer fabrics run on a plain engine; three-tier fabrics on `shards`
+// engines under a sim.Coordinator (drive them with Cluster.RunUntil).
 //
-// Port numbering: leaf l uses ports 0..hosts[l]-1 for its hosts (port h =
-// local host h) and ports hosts[l]+s*trunks+t for trunk t toward spine s;
-// spine s uses port l*trunks+t for trunk t toward leaf l. A spineless
-// two-leaf fabric puts its direct trunks at ports hosts[l]..hosts[l]+trunks-1.
+// Construction order is a pure function of the spec, never of the shard
+// count: switches (each pod's leaves then spines, then the cores; their
+// RNG streams split in that order), then NICs in node order with their
+// host wires, then intra-pod trunks, then spine-core channels in (pod,
+// spine, core, trunk) order, which fixes the mailbox channel ids.
 //
-// Routing is destination-based and deterministic. On the destination's own
-// leaf the route is the host port. On any other leaf the uplink is chosen
-// by destination id modulo the uplink count, spreading destinations across
-// spines and trunks without any stateful balancing; every spine reaches the
-// destination leaf on trunk dst%trunks. Because the choice is a pure
-// function of the destination, all packets of a flow share one path and
-// arrive in order, and a run's schedule is a pure function of (spec, seed).
-func buildTwoLayer(c *Cluster, hosts []int, spines, trunks int, hostLink, trunkLink model.LinkParams, names fabricNames) {
-	leaves := make([]*ibswitch.Switch, len(hosts))
-	uplinks := spines * trunks
-	if spines == 0 && len(hosts) == 2 {
-		uplinks = trunks
+// Port numbering: leaf l uses ports 0..hosts[l]-1 for its hosts, then
+// hosts[l]+s*Trunks+t toward spine s (a spineless two-leaf pod puts its
+// direct trunks at hosts[l]+t); spine ports are l*Trunks+t down to leaf l,
+// then Leaves*Trunks+k*CoreTrunks+t up to core k; core ports are
+// (p*Spines+s)*CoreTrunks+t toward spine s of pod p.
+//
+// Routing is destination-based and deterministic. On the destination's
+// own leaf the route is the host port. Any other leaf goes up by
+// destination modulo its uplinks; a spine reaches a leaf of its own pod on
+// trunk dst%Trunks and goes up by destination modulo its core uplinks
+// otherwise; a core reaches the destination pod via spine dst%Spines. Each
+// modulo-chosen route also registers its candidate group as the failover
+// set (one shared slice per group), so failed-over traffic spreads over
+// the survivors by the same rule. Because every choice is a pure function
+// of the destination, a flow stays single-path and in order, and a run's
+// schedule is a pure function of (spec, seed).
+func (spec FatTreeSpec) build(par model.FabricParams, seed uint64, shards int, hosts []int, legacy func(l int) (name, rngLabel string)) (*Cluster, error) {
+	spec = spec.withDefaults()
+	if hosts == nil {
+		hosts = make([]int, spec.Leaves)
+		for l := range hosts {
+			hosts[l] = spec.HostsPerLeaf
+		}
 	}
-	for l := range hosts {
-		leaves[l] = ibswitch.New(c.Eng, names.leaf(l), c.Params.Switch, hosts[l]+uplinks, c.RNG(names.leafRNG(l)))
-		c.Switches = append(c.Switches, leaves[l])
+	c := &Cluster{Params: par, root: rng.New(seed)}
+	pods, podShard, coreShard := 1, []int{0}, []int(nil)
+	engine := func(int) *sim.Engine { return c.Eng }
+	if spec.Tiers == 3 {
+		plan, err := Partition(spec, shards, par)
+		if err != nil {
+			return nil, err
+		}
+		coord, err := sim.NewCoordinator(shards, plan.Lookahead)
+		if err != nil {
+			return nil, err
+		}
+		for i := 0; i < shards; i++ {
+			// Label each shard engine so invariant reports name the shard.
+			coord.Shard(i).Eng.SetLabel(fmt.Sprintf("shard%d", i))
+		}
+		c.Eng, c.Coord = coord.Shard(0).Eng, coord
+		pods, podShard, coreShard = spec.Pods, plan.PodShard, plan.CoreShard
+		engine = func(i int) *sim.Engine { return coord.Shard(i).Eng }
+	} else {
+		c.Eng = sim.New()
 	}
-	spineSwitches := make([]*ibswitch.Switch, spines)
-	for s := range spineSwitches {
-		spineSwitches[s] = ibswitch.New(c.Eng, names.spine(s), c.Params.Switch, len(hosts)*trunks, c.RNG(names.spineRNG(s)))
-		c.Switches = append(c.Switches, spineSwitches[s])
+	hostLink := resolveLink(par, spec.HostLink)
+	trunkLink := resolveLink(par, spec.TrunkLink)
+	uplinks, trunks := spec.uplinks(), spec.Trunks
+	coreUplinks, coreTrunks := spec.Cores*spec.CoreTrunks, spec.CoreTrunks
+	name := func(role string, p, i int) string {
+		if spec.Tiers == 3 && role != "core" {
+			return fmt.Sprintf("pod%d.%s%d", p, role, i)
+		}
+		return fmt.Sprintf("%s%d", role, i)
+	}
+	newSwitch := func(eng *sim.Engine, name, rngLabel string, ports int) *ibswitch.Switch {
+		sw := ibswitch.New(eng, name, par.Switch, ports, c.RNG(rngLabel))
+		c.Switches = append(c.Switches, sw)
+		return sw
 	}
 
-	// Hosts, in node order.
+	// Switches.
+	c.Switches = make([]*ibswitch.Switch, 0, pods*(len(hosts)+spec.Spines)+spec.Cores)
+	leaves := make([][]*ibswitch.Switch, pods)
+	spines := make([][]*ibswitch.Switch, pods)
+	for p := range leaves {
+		eng := engine(podShard[p])
+		leaves[p] = make([]*ibswitch.Switch, len(hosts))
+		for l := range hosts {
+			n := name("leaf", p, l)
+			label := n
+			if legacy != nil {
+				n, label = legacy(l)
+			}
+			leaves[p][l] = newSwitch(eng, n, label, hosts[l]+uplinks)
+		}
+		spines[p] = make([]*ibswitch.Switch, spec.Spines)
+		for s := range spines[p] {
+			n := name("spine", p, s)
+			spines[p][s] = newSwitch(eng, n, n, len(hosts)*trunks+coreUplinks)
+		}
+	}
+	cores := make([]*ibswitch.Switch, spec.Cores)
+	for k := range cores {
+		n := name("core", 0, k)
+		cores[k] = newSwitch(engine(coreShard[k]), n, n, pods*spec.Spines*coreTrunks)
+	}
+
+	// Hosts, in node order (pod-major = global-leaf-major).
 	node := 0
-	for l, sw := range leaves {
-		for h := 0; h < hosts[l]; h++ {
-			nic := c.addNIC(node)
-			up := link.NewWire(c.Eng, fmt.Sprintf("n%d->%s", node, names.leaf(l)),
-				hostLink.Bandwidth, hostLink.Propagation, sw.Ingress(h), sw.IngressGate(h))
-			nic.Attach(up)
-			c.registerWire(c.Eng, up, sw.IngressGate(h), nil, 0)
-			sw.AttachPeer(h, hostLink, nic, link.Unlimited{})
-			c.registerWire(c.Eng, sw.EgressWire(h), nil, sw, h)
-			node++
-		}
-	}
-
-	// Trunks.
-	if spines == 0 && len(hosts) == 2 {
-		for t := 0; t < trunks; t++ {
-			p0, p1 := hosts[0]+t, hosts[1]+t
-			leaves[0].AttachPeer(p0, trunkLink, leaves[1].Ingress(p1), leaves[1].IngressGate(p1))
-			c.registerWire(c.Eng, leaves[0].EgressWire(p0), leaves[1].IngressGate(p1), leaves[0], p0)
-			leaves[1].AttachPeer(p1, trunkLink, leaves[0].Ingress(p0), leaves[0].IngressGate(p0))
-			c.registerWire(c.Eng, leaves[1].EgressWire(p1), leaves[0].IngressGate(p0), leaves[1], p1)
-		}
-	}
-	for l, leaf := range leaves {
-		for s, spine := range spineSwitches {
-			for t := 0; t < trunks; t++ {
-				pL, pS := hosts[l]+s*trunks+t, l*trunks+t
-				leaf.AttachPeer(pL, trunkLink, spine.Ingress(pS), spine.IngressGate(pS))
-				c.registerWire(c.Eng, leaf.EgressWire(pL), spine.IngressGate(pS), leaf, pL)
-				spine.AttachPeer(pS, trunkLink, leaf.Ingress(pL), leaf.IngressGate(pL))
-				c.registerWire(c.Eng, spine.EgressWire(pS), leaf.IngressGate(pL), spine, pS)
+	for p := range leaves {
+		eng := engine(podShard[p])
+		for l, sw := range leaves[p] {
+			for h := 0; h < hosts[l]; h++ {
+				nic := c.addNICOn(eng, node)
+				up := link.NewWire(eng, fmt.Sprintf("n%d->%s", node, sw.Name()),
+					hostLink.Bandwidth, hostLink.Propagation, sw.Ingress(h), sw.IngressGate(h))
+				nic.Attach(up)
+				c.registerWire(eng, up, sw.IngressGate(h), nil, 0)
+				sw.AttachPeer(h, hostLink, nic, link.Unlimited{})
+				c.registerWire(eng, sw.EgressWire(h), nil, sw, h)
+				node++
 			}
 		}
 	}
 
-	// Routes, derived for every (switch, destination) pair. Alongside each
-	// modulo-chosen route the same group of candidate ports is registered as
-	// the failover set (one shared slice per group): while the primary is
-	// down, new arrivals spread over the survivors deterministically.
-	upGroup := make([][]int, len(hosts))
-	for l := range hosts {
-		upGroup[l] = portRange(hosts[l], uplinks)
+	// Intra-pod trunks: plain local wires.
+	if spec.Spines == 0 && len(hosts) == 2 {
+		for t := 0; t < trunks; t++ {
+			c.trunk(c.Eng, trunkLink, leaves[0][0], hosts[0]+t, leaves[0][1], hosts[1]+t)
+		}
 	}
-	downGroup := make([][]int, len(hosts))
-	for ld := range hosts {
-		downGroup[ld] = portRange(ld*trunks, trunks)
+	for p := range leaves {
+		eng := engine(podShard[p])
+		for l, leaf := range leaves[p] {
+			for s, spine := range spines[p] {
+				for t := 0; t < trunks; t++ {
+					c.trunk(eng, trunkLink, leaf, hosts[l]+s*trunks+t, spine, l*trunks+t)
+				}
+			}
+		}
+	}
+
+	// Spine-core links: always conservative channels, both directions.
+	coreLk := spec.coreLink(par)
+	for p := range spines {
+		for s, spine := range spines[p] {
+			for k, core := range cores {
+				for t := 0; t < coreTrunks; t++ {
+					spinePort := len(hosts)*trunks + k*coreTrunks + t
+					corePort := (p*spec.Spines+s)*coreTrunks + t
+					if err := crossAttach(c, coreLk, spine, podShard[p], spinePort, core, coreShard[k], corePort); err != nil {
+						return nil, err
+					}
+					if err := crossAttach(c, coreLk, core, coreShard[k], corePort, spine, podShard[p], spinePort); err != nil {
+						return nil, err
+					}
+				}
+			}
+		}
+	}
+
+	// Routes, derived for every (switch, destination) pair.
+	leafUp := make([][]int, len(hosts))
+	spineDown := make([][]int, len(hosts))
+	for l := range hosts {
+		leafUp[l] = portRange(hosts[l], uplinks)
+		spineDown[l] = portRange(l*trunks, trunks)
+	}
+	spineUp := portRange(len(hosts)*trunks, coreUplinks)
+	coreDown := make([][]int, pods)
+	for dp := range coreDown {
+		coreDown[dp] = portRange(dp*spec.Spines*coreTrunks, spec.Spines*coreTrunks)
 	}
 	node = 0
-	for ld := range hosts {
-		for h := 0; h < hosts[ld]; h++ {
-			d := ib.NodeID(node)
-			for l, leaf := range leaves {
-				switch {
-				case l == ld:
-					leaf.SetRoute(d, h)
-				case spines == 0:
-					leaf.SetRoute(d, hosts[l]+node%trunks)
-				default:
-					leaf.SetRoute(d, hosts[l]+node%uplinks)
+	for dp := range leaves {
+		for dl := range hosts {
+			for dh := 0; dh < hosts[dl]; dh++ {
+				d := ib.NodeID(node)
+				for p := range leaves {
+					for l, leaf := range leaves[p] {
+						if p == dp && l == dl {
+							leaf.SetRoute(d, dh)
+							continue
+						}
+						leaf.SetRoute(d, hosts[l]+node%uplinks)
+						if len(leafUp[l]) > 1 {
+							leaf.SetUplinks(d, leafUp[l])
+						}
+					}
+					for _, spine := range spines[p] {
+						if p == dp {
+							spine.SetRoute(d, dl*trunks+node%trunks)
+							if len(spineDown[dl]) > 1 {
+								spine.SetUplinks(d, spineDown[dl])
+							}
+						} else {
+							spine.SetRoute(d, len(hosts)*trunks+node%coreUplinks)
+							if len(spineUp) > 1 {
+								spine.SetUplinks(d, spineUp)
+							}
+						}
+					}
 				}
-				if l != ld && len(upGroup[l]) > 1 {
-					leaf.SetUplinks(d, upGroup[l])
+				for _, core := range cores {
+					core.SetRoute(d, (dp*spec.Spines+node%spec.Spines)*coreTrunks+node%coreTrunks)
+					if len(coreDown[dp]) > 1 {
+						core.SetUplinks(d, coreDown[dp])
+					}
 				}
+				node++
 			}
-			for _, spine := range spineSwitches {
-				spine.SetRoute(d, ld*trunks+node%trunks)
-				if len(downGroup[ld]) > 1 {
-					spine.SetUplinks(d, downGroup[ld])
-				}
-			}
-			node++
 		}
 	}
+	return c, nil
+}
+
+// trunk wires one local cable between port pa of a and port pb of b, both
+// directions, registering a's egress before b's.
+func (c *Cluster) trunk(eng *sim.Engine, lk model.LinkParams, a *ibswitch.Switch, pa int, b *ibswitch.Switch, pb int) {
+	a.AttachPeer(pa, lk, b.Ingress(pb), b.IngressGate(pb))
+	c.registerWire(eng, a.EgressWire(pa), b.IngressGate(pb), a, pa)
+	b.AttachPeer(pb, lk, a.Ingress(pa), a.IngressGate(pa))
+	c.registerWire(eng, b.EgressWire(pb), a.IngressGate(pa), b, pb)
 }

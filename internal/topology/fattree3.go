@@ -1,7 +1,9 @@
-// Three-tier fat-tree generation and shard partitioning. A three-tier
-// fabric is Pods copies of the two-layer pod block (leaves + spines, wired
-// and routed exactly like fattree.go's builder) under a layer of core
-// switches every pod's spines connect to.
+// Three-tier fat-trees and shard partitioning. A three-tier fabric is Pods
+// copies of the pod block (leaves + spines) under a layer of core switches
+// every pod's spines connect to; the layered builder in fattree.go wires
+// all of it, and this file holds what is specific to the core layer: the
+// partition plan that places pods and cores on shards, and the
+// cross-shard spine-core links.
 //
 // The spine-core links are where the shard partitioner cuts: their
 // propagation delay is the conservative lookahead (see internal/sim's
@@ -20,12 +22,9 @@ package topology
 import (
 	"fmt"
 
-	"repro/internal/ib"
 	"repro/internal/ibswitch"
 	"repro/internal/link"
 	"repro/internal/model"
-	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/units"
 )
 
@@ -104,189 +103,26 @@ func Partition(spec FatTreeSpec, shards int, par model.FabricParams) (*Partition
 
 // FatTree3 builds a three-tier fabric split across shards engines under a
 // sim.Coordinator (stored on the returned Cluster; drive the run with
-// Cluster.RunUntil). Construction order — switches, NICs, wires, channels —
-// is a pure function of the spec, never of the shard count, which is what
-// makes shards=1..Pods produce identical schedules.
-//
-// Port numbering: leaf ports are 0..HostsPerLeaf-1 for hosts, then
-// HostsPerLeaf+s*Trunks+t toward spine s; spine ports are l*Trunks+t down
-// to leaf l, then Leaves*Trunks+k*CoreTrunks+t up to core k; core ports are
-// (p*Spines+s)*CoreTrunks+t toward spine s of pod p.
-//
-// Routing extends the two-layer derivation: a leaf sends foreign traffic up
-// by destination modulo its uplinks; a spine sends foreign-pod traffic up
-// by destination modulo its core uplinks; a core reaches the destination
-// pod via spine dst%Spines. All choices are pure functions of the
-// destination, so flows stay single-path and in-order.
+// Cluster.RunUntil). The layered builder (see FatTreeSpec.build) makes
+// construction order a pure function of the spec, never of the shard
+// count, which is what makes shards=1..Pods produce identical schedules.
 func FatTree3(par model.FabricParams, spec FatTreeSpec, seed uint64, shards int) (*Cluster, error) {
-	spec = spec.withDefaults()
-	plan, err := Partition(spec, shards, par)
-	if err != nil {
+	if spec.Tiers != 3 {
+		// Partition rejects the spec and names why.
+		_, err := Partition(spec, shards, par)
 		return nil, err
 	}
-	coord, err := sim.NewCoordinator(shards, plan.Lookahead)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < shards; i++ {
-		// Label each shard engine so invariant reports name the shard.
-		coord.Shard(i).Eng.SetLabel(fmt.Sprintf("shard%d", i))
-	}
-	c := &Cluster{
-		Eng:    coord.Shard(0).Eng,
-		Coord:  coord,
-		Params: par,
-		root:   rng.New(seed),
-	}
-	hostLink := resolveLink(par, spec.HostLink)
-	trunkLink := resolveLink(par, spec.TrunkLink)
-	coreLk := spec.coreLink(par)
-	H, uplinks := spec.HostsPerLeaf, spec.Spines*spec.Trunks
-
-	// Switches, in fixed construction order: each pod's leaves then spines,
-	// then the cores.
-	leaves := make([][]*ibswitch.Switch, spec.Pods)
-	spines := make([][]*ibswitch.Switch, spec.Pods)
-	for p := 0; p < spec.Pods; p++ {
-		eng := coord.Shard(plan.PodShard[p]).Eng
-		for l := 0; l < spec.Leaves; l++ {
-			name := fmt.Sprintf("pod%d.leaf%d", p, l)
-			sw := ibswitch.New(eng, name, par.Switch, H+uplinks, c.RNG(name))
-			leaves[p] = append(leaves[p], sw)
-			c.Switches = append(c.Switches, sw)
-		}
-		for s := 0; s < spec.Spines; s++ {
-			name := fmt.Sprintf("pod%d.spine%d", p, s)
-			sw := ibswitch.New(eng, name, par.Switch, spec.Leaves*spec.Trunks+spec.Cores*spec.CoreTrunks, c.RNG(name))
-			spines[p] = append(spines[p], sw)
-			c.Switches = append(c.Switches, sw)
-		}
-	}
-	cores := make([]*ibswitch.Switch, spec.Cores)
-	for k := range cores {
-		name := fmt.Sprintf("core%d", k)
-		cores[k] = ibswitch.New(coord.Shard(plan.CoreShard[k]).Eng, name, par.Switch, spec.Pods*spec.Spines*spec.CoreTrunks, c.RNG(name))
-		c.Switches = append(c.Switches, cores[k])
-	}
-
-	// Hosts, in node order (pod-major = global-leaf-major).
-	node := 0
-	for p := range leaves {
-		eng := coord.Shard(plan.PodShard[p]).Eng
-		for _, sw := range leaves[p] {
-			for h := 0; h < H; h++ {
-				nic := c.addNICOn(eng, node)
-				up := link.NewWire(eng, fmt.Sprintf("n%d->%s", node, sw.Name()),
-					hostLink.Bandwidth, hostLink.Propagation, sw.Ingress(h), sw.IngressGate(h))
-				nic.Attach(up)
-				c.registerWire(eng, up, sw.IngressGate(h), nil, 0)
-				sw.AttachPeer(h, hostLink, nic, link.Unlimited{})
-				c.registerWire(eng, sw.EgressWire(h), nil, sw, h)
-				node++
-			}
-		}
-	}
-
-	// Intra-pod trunks: plain local wires, both directions.
-	for p := range leaves {
-		eng := coord.Shard(plan.PodShard[p]).Eng
-		for l, leaf := range leaves[p] {
-			for s, spine := range spines[p] {
-				for t := 0; t < spec.Trunks; t++ {
-					pL, pS := H+s*spec.Trunks+t, l*spec.Trunks+t
-					leaf.AttachPeer(pL, trunkLink, spine.Ingress(pS), spine.IngressGate(pS))
-					c.registerWire(eng, leaf.EgressWire(pL), spine.IngressGate(pS), leaf, pL)
-					spine.AttachPeer(pS, trunkLink, leaf.Ingress(pL), leaf.IngressGate(pL))
-					c.registerWire(eng, spine.EgressWire(pS), leaf.IngressGate(pL), spine, pS)
-				}
-			}
-		}
-	}
-
-	// Spine-core links: always conservative channels, both directions. The
-	// channel creation order below fixes the channel ids (part of the
-	// mailbox's total order), so it must not depend on the shard placement.
-	for p := 0; p < spec.Pods; p++ {
-		for s := 0; s < spec.Spines; s++ {
-			for k := 0; k < spec.Cores; k++ {
-				for t := 0; t < spec.CoreTrunks; t++ {
-					spinePort := spec.Leaves*spec.Trunks + k*spec.CoreTrunks + t
-					corePort := (p*spec.Spines+s)*spec.CoreTrunks + t
-					if err := crossAttach(c, coord, coreLk, par.Switch,
-						spines[p][s], plan.PodShard[p], spinePort,
-						cores[k], plan.CoreShard[k], corePort); err != nil {
-						return nil, err
-					}
-					if err := crossAttach(c, coord, coreLk, par.Switch,
-						cores[k], plan.CoreShard[k], corePort,
-						spines[p][s], plan.PodShard[p], spinePort); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
-	}
-
-	// Routes, derived for every (switch, destination) pair. Each
-	// modulo-chosen route also registers its candidate group as the failover
-	// set (shared slices, one per routing group), so failed-over traffic
-	// spreads over the survivors by the same destination-modulo rule.
-	podHosts := spec.Leaves * H
-	leafUp := portRange(H, uplinks)
-	spineUp := portRange(spec.Leaves*spec.Trunks, spec.Cores*spec.CoreTrunks)
-	spineDown := make([][]int, spec.Leaves)
-	for dl := range spineDown {
-		spineDown[dl] = portRange(dl*spec.Trunks, spec.Trunks)
-	}
-	coreDown := make([][]int, spec.Pods)
-	for dp := range coreDown {
-		coreDown[dp] = portRange(dp*spec.Spines*spec.CoreTrunks, spec.Spines*spec.CoreTrunks)
-	}
-	for dn := 0; dn < spec.NumHosts(); dn++ {
-		d := ib.NodeID(dn)
-		dp, dl, dh := dn/podHosts, (dn/H)%spec.Leaves, dn%H
-		for p := range leaves {
-			for l, leaf := range leaves[p] {
-				if p == dp && l == dl {
-					leaf.SetRoute(d, dh)
-				} else {
-					leaf.SetRoute(d, H+dn%uplinks)
-					if len(leafUp) > 1 {
-						leaf.SetUplinks(d, leafUp)
-					}
-				}
-			}
-			for _, spine := range spines[p] {
-				if p == dp {
-					spine.SetRoute(d, dl*spec.Trunks+dn%spec.Trunks)
-					if len(spineDown[dl]) > 1 {
-						spine.SetUplinks(d, spineDown[dl])
-					}
-				} else {
-					spine.SetRoute(d, spec.Leaves*spec.Trunks+dn%(spec.Cores*spec.CoreTrunks))
-					if len(spineUp) > 1 {
-						spine.SetUplinks(d, spineUp)
-					}
-				}
-			}
-		}
-		for _, core := range cores {
-			core.SetRoute(d, (dp*spec.Spines+dn%spec.Spines)*spec.CoreTrunks+dn%spec.CoreTrunks)
-			if len(coreDown[dp]) > 1 {
-				core.SetUplinks(d, coreDown[dp])
-			}
-		}
-	}
-	return c, nil
+	return spec.build(par, seed, shards, nil, nil)
 }
 
 // crossAttach wires one direction of a spine-core cable: a data channel
 // carrying deliveries, a credit channel carrying the FC updates back, the
 // split gate across the two, and the cross wire on the sending switch's
 // egress port.
-func crossAttach(c *Cluster, coord *sim.Coordinator, lk model.LinkParams, swPar model.SwitchParams,
+func crossAttach(c *Cluster, lk model.LinkParams,
 	src *ibswitch.Switch, srcShard, srcPort int,
 	dst *ibswitch.Switch, dstShard, dstPort int) error {
+	coord, swPar := c.Coord, c.Params.Switch
 	data, err := coord.Channel(srcShard, dstShard, lk.Propagation)
 	if err != nil {
 		return err

@@ -126,35 +126,6 @@ func TestPartition(t *testing.T) {
 	}
 }
 
-// sendAndWait3 drives a sharded cluster via the coordinator (c.Eng.Run
-// would advance only shard 0).
-func sendAndWait3(t *testing.T, c *topology.Cluster, src, dst int) {
-	t.Helper()
-	qp := c.NIC(src).CreateQP(ib.RC, ib.NodeID(dst), 0)
-	done := false
-	c.NIC(src).PostSend(qp, ib.VerbSend, 64, func(units.Time) { done = true })
-	c.RunUntil(c.Eng.Now().Add(200 * units.Microsecond))
-	if !done {
-		t.Fatalf("message %d->%d never completed", src, dst)
-	}
-}
-
-func TestFatTree3AllPairsReachable(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		c, err := topology.FatTree3(model.HWTestbed(), tiered(), 7, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for src := 0; src < 8; src++ {
-			for dst := 0; dst < 8; dst++ {
-				if src != dst {
-					sendAndWait3(t, c, src, dst)
-				}
-			}
-		}
-	}
-}
-
 // TestFatTree3ShardEquivalence: every host sends one message to a host in
 // another pod; completion timestamps must be identical for every shard
 // count and barrier mode.

@@ -2,9 +2,9 @@
 // shape. Spec unifies the historical closed set of topologies (back-to-back,
 // the paper's star rack, the two-switch multi-hop setup) with the
 // generalized fat-tree generator: the legacy shapes are degenerate fat-tree
-// cases built by the same two-layer builder (see fattree.go), but keep
-// their historical switch names and RNG labels so seeded runs reproduce
-// byte for byte.
+// cases built by the same layered builder (see fattree.go), but keep their
+// historical switch names and RNG labels so seeded runs reproduce byte for
+// byte.
 package topology
 
 import (
@@ -27,8 +27,9 @@ const (
 	// KindTwoTier is the two-switch multi-hop setup of §VIII-B: three
 	// hosts upstream, four downstream.
 	KindTwoTier Kind = "twotier"
-	// KindFatTree is the generalized two-layer fabric described by
-	// Spec.FatTree.
+	// KindFatTree is the generalized fat-tree described by Spec.FatTree:
+	// two-layer, or three-tier (pods under a core layer) when its Tiers
+	// is 3.
 	KindFatTree Kind = "fattree"
 )
 
@@ -87,25 +88,10 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// Build constructs the cluster. Legacy kinds route through their historical
-// constructors (identical wiring, names and RNG labels); fat-trees through
-// the generator.
+// Build constructs the cluster on a single engine (one shard for a
+// three-tier fat-tree); see BuildShards.
 func (s Spec) Build(par model.FabricParams, seed uint64) (*Cluster, error) {
-	switch s.Kind {
-	case KindBackToBack:
-		return BackToBack(par, seed), nil
-	case KindStar:
-		return Star(par, StarHosts, seed), nil
-	case KindTwoTier:
-		return TwoTier(par, TwoTierUp, TwoTierDown, seed), nil
-	case KindFatTree:
-		if s.FatTree == nil {
-			return nil, fmt.Errorf("topology: kind %q requires a fattree block", s.Kind)
-		}
-		return FatTree(par, *s.FatTree, seed)
-	}
-	_, err := ParseKind(string(s.Kind))
-	return nil, err
+	return s.BuildShards(par, seed, 1)
 }
 
 // ShardRange describes the valid `shards` values for this spec: "1" for
@@ -122,7 +108,9 @@ func (s Spec) ShardRange() string {
 // BuildShards constructs the cluster split across `shards` engines under a
 // shard coordinator. Only three-tier fat-trees have the positive-lookahead
 // pod/core cuts conservative sharding needs; every other spec admits only
-// shards == 1, which is the plain single-engine Build path.
+// shards == 1 and builds on the plain single engine. Legacy kinds route
+// through their historical constructors (identical wiring, names and RNG
+// labels); fat-trees through the generator.
 func (s Spec) BuildShards(par model.FabricParams, seed uint64, shards int) (*Cluster, error) {
 	if s.Kind == KindFatTree && s.FatTree != nil && s.FatTree.Tiers == 3 {
 		return FatTree3(par, *s.FatTree, seed, shards)
@@ -130,7 +118,21 @@ func (s Spec) BuildShards(par model.FabricParams, seed uint64, shards int) (*Clu
 	if shards != 1 {
 		return nil, fmt.Errorf("topology: %s cannot run on %d shards (valid: %s)", s.Label(), shards, s.ShardRange())
 	}
-	return s.Build(par, seed)
+	switch s.Kind {
+	case KindBackToBack:
+		return BackToBack(par, seed), nil
+	case KindStar:
+		return Star(par, StarHosts, seed), nil
+	case KindTwoTier:
+		return TwoTier(par, TwoTierUp, TwoTierDown, seed), nil
+	case KindFatTree:
+		if s.FatTree == nil {
+			return nil, fmt.Errorf("topology: kind %q requires a fattree block", s.Kind)
+		}
+		return FatTree(par, *s.FatTree, seed)
+	}
+	_, err := ParseKind(string(s.Kind))
+	return nil, err
 }
 
 // Fixed node counts of the legacy shapes (the paper's testbed).

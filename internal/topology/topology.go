@@ -146,14 +146,12 @@ func BackToBack(par model.FabricParams, seed uint64) *Cluster {
 
 // Star connects n hosts to one ToR switch (§V: the paper uses n = 7, with
 // node n-1 conventionally the destination server). It is the one-leaf,
-// spineless special case of the fat-tree builder, with the rack's
-// historical switch name and RNG label so seeded runs reproduce exactly.
+// spineless pod of the fat-tree builder, with the rack's historical switch
+// name and RNG label so seeded runs reproduce exactly.
 func Star(par model.FabricParams, n int, seed uint64) *Cluster {
-	c := newCluster(par, seed)
-	buildTwoLayer(c, []int{n}, 0, 1, par.Link, par.Link, fabricNames{
-		leaf:    func(int) string { return "tor" },
-		leafRNG: func(int) string { return "switch" },
-	})
+	// A two-layer build has no failure path (only Partition can fail).
+	c, _ := FatTreeSpec{Leaves: 1}.build(par, seed, 1, []int{n},
+		func(int) (string, string) { return "tor", "switch" })
 	return c
 }
 
@@ -161,14 +159,11 @@ func Star(par model.FabricParams, n int, seed uint64) *Cluster {
 // the upstream switch, `down` hosts to the downstream switch, and the two
 // switches connect with one cable. Node numbering: upstream hosts first,
 // then downstream hosts; the destination server of the paper's experiment
-// is the last downstream node. It is the two-leaf, spineless case of the
+// is the last downstream node. It is the two-leaf, spineless pod of the
 // fat-tree builder, with the legacy switch names and RNG labels.
 func TwoTier(par model.FabricParams, up, down int, seed uint64) *Cluster {
-	c := newCluster(par, seed)
-	legacy := []string{"up", "down"}
-	buildTwoLayer(c, []int{up, down}, 0, 1, par.Link, par.Link, fabricNames{
-		leaf:    func(l int) string { return legacy[l] },
-		leafRNG: func(l int) string { return "switch-" + legacy[l] },
-	})
+	legacy := [2]string{"up", "down"}
+	c, _ := FatTreeSpec{Leaves: 2}.build(par, seed, 1, []int{up, down},
+		func(l int) (string, string) { return legacy[l], "switch-" + legacy[l] })
 	return c
 }

@@ -34,12 +34,15 @@ func TestTwoTierShape(t *testing.T) {
 	}
 }
 
+// sendAndWait sends one small message and advances the fabric through
+// c.RunUntil (the coordinator, for a sharded build: c.Eng.Run would
+// advance only shard 0) until it must have completed.
 func sendAndWait(t *testing.T, c *topology.Cluster, src, dst int) {
 	t.Helper()
 	qp := c.NIC(src).CreateQP(ib.RC, ib.NodeID(dst), 0)
 	done := false
 	c.NIC(src).PostSend(qp, ib.VerbSend, 64, func(units.Time) { done = true })
-	c.Eng.Run()
+	c.RunUntil(c.Eng.Now().Add(200 * units.Microsecond))
 	if !done {
 		t.Fatalf("message %d->%d never completed", src, dst)
 	}
@@ -159,7 +162,7 @@ func TestFatTreeShape(t *testing.T) {
 			t.Errorf("spine %d ports = %d, want 6", s-3, got)
 		}
 	}
-	if spec.NumHosts() != 12 || spec.LeafOf(7) != 1 || spec.HostNode(2, 3) != 11 {
+	if spec.NumHosts() != 12 || spec.HostNode(2, 3) != 11 {
 		t.Error("spec node arithmetic wrong")
 	}
 }
@@ -184,19 +187,37 @@ func TestFatTreeSpecValidation(t *testing.T) {
 }
 
 func TestFatTreeAllPairsReachable(t *testing.T) {
-	c, err := topology.FatTree(model.HWTestbed(), topology.FatTreeSpec{
-		Leaves: 3, HostsPerLeaf: 2, Spines: 2,
-	}, 7)
-	if err != nil {
-		t.Fatal(err)
+	tiered := topology.FatTreeSpec{Tiers: 3, Pods: 2, Leaves: 2, HostsPerLeaf: 2, Spines: 1}
+	cases := []struct {
+		name   string
+		spec   topology.FatTreeSpec
+		shards int
+	}{
+		{"two-layer", topology.FatTreeSpec{Leaves: 3, HostsPerLeaf: 2, Spines: 2}, 1},
+		{"three-tier/shards=1", tiered, 1},
+		{"three-tier/shards=2", tiered, 2},
 	}
-	for src := 0; src < 6; src++ {
-		for dst := 0; dst < 6; dst++ {
-			if src == dst {
-				continue
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var c *topology.Cluster
+			var err error
+			if tc.shards == 1 {
+				c, err = topology.FatTree(model.HWTestbed(), tc.spec, 7)
+			} else {
+				c, err = topology.FatTree3(model.HWTestbed(), tc.spec, 7, tc.shards)
 			}
-			sendAndWait(t, c, src, dst)
-		}
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := tc.spec.NumHosts()
+			for src := 0; src < n; src++ {
+				for dst := 0; dst < n; dst++ {
+					if src != dst {
+						sendAndWait(t, c, src, dst)
+					}
+				}
+			}
+		})
 	}
 }
 
