@@ -12,6 +12,7 @@ package topology
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/ib"
 	"repro/internal/ibswitch"
@@ -271,9 +272,9 @@ func (spec FatTreeSpec) build(par model.FabricParams, seed uint64, shards int, h
 	coreUplinks, coreTrunks := spec.Cores*spec.CoreTrunks, spec.CoreTrunks
 	name := func(role string, p, i int) string {
 		if spec.Tiers == 3 && role != "core" {
-			return fmt.Sprintf("pod%d.%s%d", p, role, i)
+			return "pod" + strconv.Itoa(p) + "." + role + strconv.Itoa(i)
 		}
-		return fmt.Sprintf("%s%d", role, i)
+		return role + strconv.Itoa(i)
 	}
 	newSwitch := func(eng *sim.Engine, name, rngLabel string, ports int) *ibswitch.Switch {
 		sw := ibswitch.New(eng, name, par.Switch, ports, c.RNG(rngLabel))
