@@ -371,7 +371,7 @@ func (spec FatTreeSpec) build(par model.FabricParams, seed uint64, shards int, h
 		spineDown[l] = portRange(l*trunks, trunks)
 	}
 	spineUp := portRange(len(hosts)*trunks, coreUplinks)
-	coreDown := make([][]int, pods)
+	coreDown := make([][]int, spec.Pods) // none without cores
 	for dp := range coreDown {
 		coreDown[dp] = portRange(dp*spec.Spines*coreTrunks, spec.Spines*coreTrunks)
 	}
