@@ -290,10 +290,12 @@ func (spec FatTreeSpec) build(par model.FabricParams, seed uint64, shards int, h
 		eng := engine(podShard[p])
 		leaves[p] = make([]*ibswitch.Switch, len(hosts))
 		for l := range hosts {
-			n := name("leaf", p, l)
-			label := n
+			var n, label string
 			if legacy != nil {
 				n, label = legacy(l)
+			} else {
+				n = name("leaf", p, l)
+				label = n
 			}
 			leaves[p][l] = newSwitch(eng, n, label, hosts[l]+uplinks)
 		}

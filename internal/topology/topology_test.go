@@ -187,25 +187,18 @@ func TestFatTreeSpecValidation(t *testing.T) {
 }
 
 func TestFatTreeAllPairsReachable(t *testing.T) {
-	tiered := topology.FatTreeSpec{Tiers: 3, Pods: 2, Leaves: 2, HostsPerLeaf: 2, Spines: 1}
 	cases := []struct {
 		name   string
 		spec   topology.FatTreeSpec
 		shards int
 	}{
 		{"two-layer", topology.FatTreeSpec{Leaves: 3, HostsPerLeaf: 2, Spines: 2}, 1},
-		{"three-tier/shards=1", tiered, 1},
-		{"three-tier/shards=2", tiered, 2},
+		{"three-tier-shards1", tiered(), 1},
+		{"three-tier-shards2", tiered(), 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var c *topology.Cluster
-			var err error
-			if tc.shards == 1 {
-				c, err = topology.FatTree(model.HWTestbed(), tc.spec, 7)
-			} else {
-				c, err = topology.FatTree3(model.HWTestbed(), tc.spec, 7, tc.shards)
-			}
+			c, err := topology.SpecFatTree(tc.spec).BuildShards(model.HWTestbed(), 7, tc.shards)
 			if err != nil {
 				t.Fatal(err)
 			}
