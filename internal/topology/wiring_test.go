@@ -73,42 +73,31 @@ func wiringFingerprint(t *testing.T, c *Cluster) string {
 // shape is built at one and two shards and must fingerprint identically.
 // Regenerate with -update only after an intentional wiring or model change.
 func TestFatTreeWiringFingerprint(t *testing.T) {
-	par := model.HWTestbed()
-	fatTree := func(spec FatTreeSpec, shards int) func() (*Cluster, error) {
-		return func() (*Cluster, error) {
-			if shards > 1 {
-				return FatTree3(par, spec, 1, shards)
-			}
-			return FatTree(par, spec, 1)
-		}
-	}
 	tier3 := FatTreeSpec{Tiers: 3, Pods: 2, Leaves: 2, HostsPerLeaf: 2, Spines: 2, Cores: 2, CoreTrunks: 2}
 	shapes := []struct {
 		name   string
-		builds []func() (*Cluster, error)
+		spec   Spec
+		shards []int
 	}{
-		{"star 7", []func() (*Cluster, error){func() (*Cluster, error) { return Star(par, 7, 1), nil }}},
-		{"twotier 3+4", []func() (*Cluster, error){func() (*Cluster, error) { return TwoTier(par, 3, 4, 1), nil }}},
-		{"fattree 3x3+2s trunks 2", []func() (*Cluster, error){
-			fatTree(FatTreeSpec{Leaves: 3, HostsPerLeaf: 3, Spines: 2, Trunks: 2}, 1)}},
-		{"fattree 2x3 spineless trunks 2", []func() (*Cluster, error){
-			fatTree(FatTreeSpec{Leaves: 2, HostsPerLeaf: 3, Trunks: 2}, 1)}},
-		{"fattree3 2p2x2+2s+2c core_trunks 2", []func() (*Cluster, error){
-			fatTree(tier3, 1), fatTree(tier3, 2)}},
+		{"star 7", SpecStar, []int{1}},
+		{"twotier 3+4", SpecTwoTier, []int{1}},
+		{"fattree 3x3+2s trunks 2", SpecFatTree(FatTreeSpec{Leaves: 3, HostsPerLeaf: 3, Spines: 2, Trunks: 2}), []int{1}},
+		{"fattree 2x3 spineless trunks 2", SpecFatTree(FatTreeSpec{Leaves: 2, HostsPerLeaf: 3, Trunks: 2}), []int{1}},
+		{"fattree3 2p2x2+2s+2c core_trunks 2", SpecFatTree(tier3), []int{1, 2}},
 	}
 	var got strings.Builder
 	for _, shape := range shapes {
 		var ref string
-		for i, build := range shape.builds {
-			c, err := build()
+		for _, shards := range shape.shards {
+			c, err := shape.spec.BuildShards(model.HWTestbed(), 1, shards)
 			if err != nil {
 				t.Fatalf("%s: %v", shape.name, err)
 			}
 			fp := wiringFingerprint(t, c)
-			if i == 0 {
+			if ref == "" {
 				ref = fp
 			} else if fp != ref {
-				t.Errorf("%s: build %d fingerprints differently from build 0:\n%s", shape.name, i, fp)
+				t.Errorf("%s: shards=%d fingerprints differently from shards=%d:\n%s", shape.name, shards, shape.shards[0], fp)
 			}
 		}
 		fmt.Fprintf(&got, "== %s\n%s", shape.name, ref)
