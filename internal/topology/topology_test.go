@@ -1,6 +1,7 @@
 package topology_test
 
 import (
+	"strconv"
 	"testing"
 
 	"repro/internal/ib"
@@ -186,23 +187,16 @@ func TestFatTreeSpecValidation(t *testing.T) {
 	}
 }
 
-func TestFatTreeAllPairsReachable(t *testing.T) {
-	cases := []struct {
-		name   string
-		spec   topology.FatTreeSpec
-		shards int
-	}{
-		{"two-layer", topology.FatTreeSpec{Leaves: 3, HostsPerLeaf: 2, Spines: 2}, 1},
-		{"three-tier-shards1", tiered(), 1},
-		{"three-tier-shards2", tiered(), 2},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			c, err := topology.SpecFatTree(tc.spec).BuildShards(model.HWTestbed(), 7, tc.shards)
+// allPairsReachable builds spec over the given shard counts and sends one
+// message between every ordered host pair.
+func allPairsReachable(t *testing.T, spec topology.FatTreeSpec, shards ...int) {
+	for _, sh := range shards {
+		t.Run("shards"+strconv.Itoa(sh), func(t *testing.T) {
+			c, err := topology.SpecFatTree(spec).BuildShards(model.HWTestbed(), 7, sh)
 			if err != nil {
 				t.Fatal(err)
 			}
-			n := tc.spec.NumHosts()
+			n := spec.NumHosts()
 			for src := 0; src < n; src++ {
 				for dst := 0; dst < n; dst++ {
 					if src != dst {
@@ -212,6 +206,14 @@ func TestFatTreeAllPairsReachable(t *testing.T) {
 			}
 		})
 	}
+}
+
+func TestFatTreeAllPairsReachable(t *testing.T) {
+	allPairsReachable(t, topology.FatTreeSpec{Leaves: 3, HostsPerLeaf: 2, Spines: 2}, 1)
+}
+
+func TestFatTree3AllPairsReachable(t *testing.T) {
+	allPairsReachable(t, tiered(), 1, 2)
 }
 
 func TestFatTreeTrunkMultiplicityReachable(t *testing.T) {
