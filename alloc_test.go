@@ -103,3 +103,41 @@ func TestZeroAllocFatTreeIncast(t *testing.T) {
 		t.Fatalf("fat-tree incast: %.2f allocs per steady-state step, want 0", allocs)
 	}
 }
+
+// TestZeroAllocShardedSteadyState pins a two-shard three-tier fabric at
+// zero steady-state allocations under both barrier modes: every epoch's
+// mailbox exchange, idle-epoch skip and busy-shard dispatch reuses its
+// storage, and the channel barrier's hand-off is made once per coordinator.
+// Cross-pod BSGs keep the spine-core channels busy in both directions.
+func TestZeroAllocShardedSteadyState(t *testing.T) {
+	spec := topology.FatTreeSpec{Tiers: 3, Pods: 2, Leaves: 2, HostsPerLeaf: 2, Spines: 1}
+	n := spec.NumHosts()
+	for _, parallel := range []bool{false, true} {
+		c, err := topology.FatTree3(model.HWTestbed(), spec, 1, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Coord.Parallel = parallel
+		for src := 0; src < n; src++ {
+			bsg, err := traffic.NewBSG(c.NIC(src), c.NIC((src+n/2)%n), traffic.BSGConfig{Payload: 4096})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bsg.Start(0)
+		}
+		now := units.Time(2 * units.Millisecond)
+		c.RunUntil(now)
+		events, epochs := c.Coord.Shard(1).Eng.Processed(), c.Coord.Epochs()
+		allocs := testing.AllocsPerRun(100, func() {
+			now = now.Add(20 * units.Microsecond)
+			c.RunUntil(now)
+		})
+		if c.Coord.Shard(1).Eng.Processed() == events || c.Coord.Epochs() == epochs {
+			t.Fatalf("parallel=%v: steady-state window ran no events or epochs", parallel)
+		}
+		if allocs != 0 {
+			t.Fatalf("parallel=%v: %.2f allocs per steady-state step of %d-epoch runs, want 0",
+				parallel, allocs, (c.Coord.Epochs()-epochs)/101)
+		}
+	}
+}

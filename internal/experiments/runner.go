@@ -27,6 +27,19 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// jobOptions are the options each of n pooled jobs runs with. When the
+// grid has more jobs than workers, the pool alone keeps every worker busy,
+// so a sharded job uses the round barrier (the sequential pin, Parallel 1):
+// a channel barrier would only add goroutine hand-offs on cores that are
+// already full. With no more jobs than workers the channel barrier stays.
+// Results are byte-identical either way.
+func (o Options) jobOptions(n int) Options {
+	if n > o.workers() {
+		o.Parallel = 1
+	}
+	return o
+}
+
 // recovered invokes fn(i), converting a panic into an error carrying the
 // panic value and stack. One poisoned job must fail its own slot, never
 // the pool: the worker goroutines and the sequential reference loop share
@@ -117,7 +130,8 @@ func mapOrdered[T any](ctx context.Context, n, workers int, fn func(int) (T, err
 // and returns the per-seed results in seed order. The result slice is
 // identical to calling Run sequentially for each seed.
 func RunSeeds(p Point, opts Options) ([]Result, error) {
+	jobOpts := opts.jobOptions(len(opts.Seeds))
 	return mapOrdered(opts.Ctx, len(opts.Seeds), opts.workers(), func(i int) (Result, error) {
-		return Run(p, opts, opts.Seeds[i])
+		return Run(p, jobOpts, opts.Seeds[i])
 	})
 }

@@ -37,8 +37,11 @@ type Options struct {
 	Seeds []uint64
 	// Parallel is the worker-pool size for fanning scenario runs across
 	// CPUs: 0 means one worker per CPU (GOMAXPROCS), 1 forces the
-	// sequential reference path. Results are byte-identical either way;
-	// see runner.go.
+	// sequential reference path. For a single Run it also picks a sharded
+	// fabric's barrier: 1 pins the round barrier, anything else uses the
+	// channel barrier when GOMAXPROCS > 1. RunSpec and RunSeeds pin their
+	// jobs to the round barrier when there are more jobs than workers.
+	// Results are byte-identical either way; see runner.go.
 	Parallel int
 	// Ctx, when non-nil, cancels runs: the sweep runner stops dispatching
 	// new jobs (sequential and parallel modes behave identically — jobs
@@ -225,10 +228,12 @@ func runScenario(p Point, fab model.FabricParams, opts Options, seed uint64, iso
 		return Result{}, err
 	}
 	if c.Coord != nil {
-		// The channel-based barrier only pays for itself with real cores
-		// behind it; results are identical either way, so on one core (or
-		// when the caller pinned the run sequential) use the round-based
-		// loop. opts.Parallel == 1 is the sweep runner's sequential pin.
+		// The channel-based barrier only pays for itself with idle cores
+		// behind it; results are identical either way, so on one core, or
+		// when the caller pinned the run sequential, use the round-based
+		// loop. opts.Parallel == 1 is that pin: set by the caller, or by
+		// RunSpec and RunSeeds when their pool has more jobs than workers
+		// and so already fills the cores (see Options.jobOptions).
 		c.Coord.Parallel = shards > 1 && opts.Parallel != 1 && runtime.GOMAXPROCS(0) > 1
 	}
 	c.SetPolicy(pol)

@@ -242,8 +242,10 @@ func RunSpec(d Definition, opts Options) (*Table, error) {
 		return nil, err
 	}
 	seeds := len(opts.Seeds)
-	results, err := mapOrdered(opts.Ctx, len(rps)*seeds, opts.workers(), func(i int) (Result, error) {
-		return Run(rps[i/seeds].Point, opts, opts.Seeds[i%seeds])
+	jobs := len(rps) * seeds
+	jobOpts := opts.jobOptions(jobs)
+	results, err := mapOrdered(opts.Ctx, jobs, opts.workers(), func(i int) (Result, error) {
+		return Run(rps[i/seeds].Point, jobOpts, opts.Seeds[i%seeds])
 	})
 	if err != nil {
 		return nil, err

@@ -15,6 +15,7 @@ package ibswitch
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/ib"
 	"repro/internal/link"
@@ -215,13 +216,15 @@ type Switch struct {
 
 	// Failover state (fault runs only; zero cost otherwise — deliver and
 	// pick guard on downCount > 0 / portDown non-nil). portDown marks
-	// egress ports that must not start new transmissions; uplinks[dest] is
-	// the port group destination-modulo routing may fall over to while
-	// dest's primary is down (the topology registers shared slices, one per
-	// routing group). downCount counts true entries.
+	// egress ports that must not start new transmissions; downCount counts
+	// true entries. groups[groupOf[dest]] is the port group
+	// destination-modulo routing may fall over to while dest's primary is
+	// down, -1 for none: a pointer-free index per destination, the way
+	// routes is stored, into the switch's few distinct groups.
 	portDown  []bool
 	downCount int
-	uplinks   [][]int
+	groupOf   []int32
+	groups    [][]int
 	// FailedOver counts packets whose egress was redirected off a downed
 	// primary (tests and diagnostics).
 	FailedOver uint64
@@ -308,14 +311,18 @@ func listedVLs(cfg ib.VLArbConfig) (listed [ib.NumVLs]bool) {
 
 // SetUplinks declares the failover group for dest: the egress ports over
 // which destination-modulo routing may rebalance while dest's primary port
-// is down. The topology layer registers one shared slice per routing group
-// (per-destination map entries alias it), in construction order, so the
-// grouping is identical at every shard count.
+// is down. Destinations with equal groups share one stored group (the
+// topology layer passes one slice per routing group).
 func (sw *Switch) SetUplinks(dest ib.NodeID, group []int) {
-	for int(dest) >= len(sw.uplinks) {
-		sw.uplinks = append(sw.uplinks, nil)
+	for int(dest) >= len(sw.groupOf) {
+		sw.groupOf = append(sw.groupOf, -1)
 	}
-	sw.uplinks[dest] = group
+	gi := slices.IndexFunc(sw.groups, func(g []int) bool { return slices.Equal(g, group) })
+	if gi < 0 {
+		gi = len(sw.groups)
+		sw.groups = append(sw.groups, group)
+	}
+	sw.groupOf[dest] = int32(gi)
 }
 
 // SetPortDown marks port i down (no new transmissions start; packets
@@ -345,8 +352,8 @@ func (sw *Switch) SetPortDown(i int, down bool) {
 // is kept — the packet queues and waits for the heal.
 func (sw *Switch) failover(dest ib.NodeID, primary int) int {
 	var group []int
-	if int(dest) < len(sw.uplinks) {
-		group = sw.uplinks[dest]
+	if int(dest) < len(sw.groupOf) && sw.groupOf[dest] >= 0 {
+		group = sw.groups[sw.groupOf[dest]]
 	}
 	alive := 0
 	for _, p := range group {

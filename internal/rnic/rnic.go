@@ -629,7 +629,7 @@ func (le loopEndpoint) DeliverArrival(pkt *ib.Packet, arriveStart, arriveEnd uni
 type engine struct {
 	r         *RNIC
 	label     string
-	queue     []*txPacket
+	queue     txQueue
 	busyUntil units.Time
 	scheduled *sim.Event // the single pending wake, if any
 	waiting   bool       // blocked on downstream credits
@@ -657,12 +657,53 @@ type txPacket struct {
 	udComplete CompletionFn
 }
 
+// txQueue is an engine's queue of waiting packets: a ring buffer, so the
+// FIFO pop of every sent packet is O(1) while the storage, like a slice's,
+// grows by doubling only when full.
+type txQueue struct {
+	buf  []*txPacket // len(buf) is zero or a power of two
+	head int
+	n    int
+}
+
+// at returns entry i, 0 being the oldest.
+func (q *txQueue) at(i int) *txPacket { return q.buf[(q.head+i)&(len(q.buf)-1)] }
+
+func (q *txQueue) push(tx *txPacket) {
+	if q.n == len(q.buf) {
+		buf := make([]*txPacket, max(1, 2*len(q.buf)))
+		for i := range q.n {
+			buf[i] = q.at(i)
+		}
+		q.buf, q.head = buf, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = tx
+	q.n++
+}
+
+// remove deletes entry i: the head in O(1), a later entry by shifting the
+// ones after it forward. The vacated slot is cleared, since its txPacket
+// is recycled.
+func (q *txQueue) remove(i int) {
+	mask := len(q.buf) - 1
+	if i == 0 {
+		q.buf[q.head] = nil
+		q.head = (q.head + 1) & mask
+	} else {
+		for ; i < q.n-1; i++ {
+			q.buf[(q.head+i)&mask] = q.buf[(q.head+i+1)&mask]
+		}
+		q.buf[(q.head+q.n-1)&mask] = nil
+	}
+	q.n--
+}
+
 func newEngine(r *RNIC, name string) *engine {
 	return &engine{r: r, label: "rnic:" + name}
 }
 
 func (e *engine) enqueue(tx *txPacket) {
-	e.queue = append(e.queue, tx)
+	e.queue.push(tx)
 	if e.r.EagerWakes {
 		e.wake(e.r.eng.Now())
 		return
@@ -671,7 +712,7 @@ func (e *engine) enqueue(tx *txPacket) {
 	if e.waiting {
 		return // blocked on credits; CreditGranted re-arms the engine
 	}
-	if !e.reorder && len(e.queue) > 1 {
+	if !e.reorder && e.queue.n > 1 {
 		return // FIFO head unchanged; its evaluation is already pending
 	}
 	// The new entry cannot inject before it is ready or before its wire
@@ -732,8 +773,8 @@ func (e *engine) pickIndex() int {
 		return 0
 	}
 	best := 0
-	for i, tx := range e.queue {
-		if tx.readyAt < e.queue[best].readyAt {
+	for i := 1; i < e.queue.n; i++ {
+		if e.queue.at(i).readyAt < e.queue.at(best).readyAt {
 			best = i
 		}
 	}
@@ -741,12 +782,12 @@ func (e *engine) pickIndex() int {
 }
 
 func (e *engine) process() {
-	if e.waiting || len(e.queue) == 0 {
+	if e.waiting || e.queue.n == 0 {
 		return
 	}
 	now := e.r.eng.Now()
 	idx := e.pickIndex()
-	head := e.queue[idx]
+	head := e.queue.at(idx)
 	t := now
 	if head.readyAt > t {
 		t = head.readyAt
@@ -791,16 +832,13 @@ func (e *engine) process() {
 		e.r.relOnWire(head.pkt)
 	}
 	e.busyUntil = now.Add(head.occupancy)
-	copy(e.queue[idx:], e.queue[idx+1:])
-	last := len(e.queue) - 1
-	e.queue[last] = nil // clear the vacated slot: the txPacket is recycled
-	e.queue = e.queue[:last]
+	e.queue.remove(idx)
 	if head.udComplete != nil {
 		// Fig. 1c: UD CQE once the request is on the wire.
 		e.r.completeAt(injEnd.Add(e.r.par.CQEDeliver), head.udComplete)
 	}
 	e.r.putTx(head)
-	if len(e.queue) > 0 {
+	if e.queue.n > 0 {
 		next := e.busyUntil
 		if now > next {
 			next = now
@@ -810,7 +848,7 @@ func (e *engine) process() {
 			// when this transmit's occupancy ends: an evaluation before
 			// the head is ready (or its wire free) only observes the
 			// constraint and re-arms itself at exactly this time.
-			nh := e.queue[e.pickIndex()]
+			nh := e.queue.at(e.pickIndex())
 			if nh.readyAt > next {
 				next = nh.readyAt
 			}

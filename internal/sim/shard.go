@@ -20,7 +20,10 @@
 //
 //   - The epoch grid {0, L, 2L, ...} depends only on the lookahead, which
 //     the topology layer derives from the link parameters, not from the
-//     shard count.
+//     shard count. The coordinator skips epochs in which no shard has an
+//     event or a message due, and runs only the shards that do: an epoch
+//     that executes nothing changes nothing, so skipping it keeps every
+//     event and timestamp the same.
 //
 // Together these make a run a pure function of (configuration, seed): the
 // same objects execute the same events at the same timestamps whether they
@@ -59,8 +62,17 @@ type Shard struct {
 	ID  int
 	Eng *Engine
 
-	pending []Msg // exchanged messages, sorted by (At, ch, seq) when !dirty
-	dirty   bool  // pending grew since it was last sorted
+	pending []Msg      // exchanged messages, sorted by (At, ch, seq) when !dirty
+	dirty   bool       // pending grew since it was last sorted
+	pendMin units.Time // earliest At in pending; MaxTime when empty
+
+	// sent lists the channels out of this shard holding sends not yet
+	// exchanged, in first-send order, so the barrier walks only the
+	// channels that carried traffic. Only this shard's events append to it.
+	sent []*Chan
+	// next is the shard's earliest due work, an event or a message;
+	// refreshed by the coordinator at each barrier.
+	next units.Time
 }
 
 // Chan is one direction of one cross-shard coupling: a packet path or a
@@ -76,6 +88,7 @@ type Chan struct {
 	dst    *Shard
 	minLag units.Duration
 	box    []Msg
+	minAt  units.Time // earliest At in box (meaningful while box is non-empty)
 }
 
 // Send enqueues a Handler dispatch on the destination shard at absolute
@@ -91,6 +104,12 @@ func (ch *Chan) Send(at units.Time, label string, h Handler) *Msg {
 	if h == nil {
 		panic(fmt.Sprintf("sim: nil handler for cross-shard %q", label))
 	}
+	if len(ch.box) == 0 {
+		ch.src.sent = append(ch.src.sent, ch)
+		ch.minAt = at
+	} else if at < ch.minAt {
+		ch.minAt = at
+	}
 	ch.box = append(ch.box, Msg{At: at, Label: label, H: h, ch: ch.id, seq: ch.seq})
 	ch.seq++
 	return &ch.box[len(ch.box)-1]
@@ -99,17 +118,32 @@ func (ch *Chan) Send(at units.Time, label string, h Handler) *Msg {
 // Coordinator synchronizes shards over a fixed epoch grid.
 type Coordinator struct {
 	shards    []*Shard
-	chans     []*Chan
+	nchans    int32 // channels opened: the next channel id
 	lookahead units.Duration
-	// Parallel selects the channel-based barrier: one persistent goroutine
-	// per shard, fed an epoch at a time and joined before the exchange.
-	// False (the default) is the round-based reference loop — the only
-	// sensible mode on one core. Results are identical either way; the
-	// race detector over the parallel mode is part of `make test-shard`.
+	// Parallel selects the channel-based barrier: an epoch in which two or
+	// more shards have work due hands all but the first of them to worker
+	// goroutines (one per shard beyond the first, alive for one RunUntil)
+	// and runs the first on the calling goroutine, joining all before the
+	// exchange. An epoch with one busy shard runs inline. False (the
+	// default) is the round-based reference loop — the only sensible mode
+	// on one core. Results are identical either way; the race detector
+	// over the parallel mode is part of `make test-shard`.
 	Parallel bool
 
 	interrupt func() bool
 	aborted   bool
+
+	epochs, skipped uint64
+
+	// Reused per epoch: the shards with work due, and the channel-barrier
+	// hand-off (created on the first parallel run). horizon and final are
+	// written before an epoch's hand-off and read by the workers after it.
+	busy    []*Shard
+	work    chan *Shard
+	worker  func()
+	wg      sync.WaitGroup
+	horizon units.Time
+	final   bool
 }
 
 // SetInterrupt installs an external abort check on the coordinator and on
@@ -158,7 +192,7 @@ func NewCoordinator(n int, lookahead units.Duration) (*Coordinator, error) {
 	}
 	c := &Coordinator{lookahead: lookahead}
 	for i := 0; i < n; i++ {
-		c.shards = append(c.shards, &Shard{ID: i, Eng: New()})
+		c.shards = append(c.shards, &Shard{ID: i, Eng: New(), pendMin: units.MaxTime})
 	}
 	return c, nil
 }
@@ -172,6 +206,15 @@ func (c *Coordinator) Shard(i int) *Shard { return c.shards[i] }
 // Lookahead reports the epoch length.
 func (c *Coordinator) Lookahead() units.Duration { return c.lookahead }
 
+// Epochs reports how many epochs the coordinator has executed, over all
+// RunUntil calls.
+func (c *Coordinator) Epochs() uint64 { return c.epochs }
+
+// Skipped reports how many grid epochs the coordinator has skipped because
+// no shard had an event or a message due in them. Epochs() + Skipped() is
+// the number of epochs on the grids of all RunUntil calls so far.
+func (c *Coordinator) Skipped() uint64 { return c.skipped }
+
 // Channel opens a message channel from shard src to shard dst (src == dst
 // is the degenerate self-loop a one-shard run uses, so the message path —
 // and therefore the schedule — does not depend on the shard count). minLag
@@ -181,15 +224,18 @@ func (c *Coordinator) Channel(src, dst int, minLag units.Duration) (*Chan, error
 	if minLag < c.lookahead {
 		return nil, fmt.Errorf("sim: channel latency %v below the coordinator lookahead %v", minLag, c.lookahead)
 	}
-	ch := &Chan{id: int32(len(c.chans)), src: c.shards[src], dst: c.shards[dst], minLag: minLag}
-	c.chans = append(c.chans, ch)
+	ch := &Chan{id: c.nchans, src: c.shards[src], dst: c.shards[dst], minLag: minLag}
+	c.nchans++
 	return ch, nil
 }
 
-// RunUntil advances every shard to absolute time end: epochs of one
+// RunUntil advances every shard to absolute time end over the epoch grid
+// start + k*lookahead, start being the shards' common clock: epochs of one
 // lookahead each, a barrier and message exchange between epochs, and a
 // final partial epoch that executes events at exactly end (matching
-// Engine.RunUntil's inclusive deadline).
+// Engine.RunUntil's inclusive deadline). Epochs in which no shard has work
+// due are skipped, and only the shards with work due run an epoch; every
+// shard's clock reaches end with the final epoch.
 func (c *Coordinator) RunUntil(end units.Time) {
 	start := c.shards[0].Eng.Now()
 	for _, s := range c.shards {
@@ -197,86 +243,118 @@ func (c *Coordinator) RunUntil(end units.Time) {
 			panic("sim: coordinator shards out of step")
 		}
 	}
-	if c.Parallel && len(c.shards) > 1 {
-		c.runChannelBarrier(start, end)
-		return
+	// Sends made between runs (outside any epoch) must reach the mailboxes
+	// before the first skip reads them.
+	c.exchange()
+	par := c.Parallel && len(c.shards) > 1
+	if par {
+		c.startWorkers()
+		defer c.stopWorkers()
 	}
-	c.runRounds(start, end)
-}
-
-// nextHorizon computes the end of the epoch opening at t; final epochs run
-// inclusively to end.
-func (c *Coordinator) nextHorizon(t, end units.Time) (horizon units.Time, final bool) {
-	h := t.Add(c.lookahead)
-	if h > end {
-		return end, true
+	l := c.lookahead
+	last := start // opening of the final, inclusive epoch
+	if end > start {
+		last = start.Add(end.Sub(start) / l * l)
 	}
-	return h, false
-}
-
-// runRounds is the sequential reference loop: shards run each epoch in ID
-// order on the calling goroutine.
-func (c *Coordinator) runRounds(start, end units.Time) {
 	for t := start; ; {
-		horizon, final := c.nextHorizon(t, end)
-		for _, s := range c.shards {
+		if next := c.nextWork(); next > t {
+			to := last
+			if next < last {
+				to = start.Add(next.Sub(start) / l * l)
+			}
+			c.skipped += uint64(to.Sub(t) / l)
+			t = to
+		}
+		final := t == last
+		horizon := end
+		if !final {
+			horizon = t.Add(l)
+		}
+		c.runBusy(horizon, final, par)
+		c.epochs++
+		if c.interrupted() {
+			return
+		}
+		c.exchange()
+		if final {
+			return
+		}
+		t = t.Add(l)
+	}
+}
+
+// nextWork refreshes every shard's earliest due work and returns the
+// minimum (MaxTime when nothing is pending anywhere).
+func (c *Coordinator) nextWork() units.Time {
+	next := units.MaxTime
+	for _, s := range c.shards {
+		s.next = min(s.Eng.nextAt(), s.pendMin)
+		next = min(next, s.next)
+	}
+	return next
+}
+
+// runBusy executes one epoch on the shards with work due before the
+// horizon. The final epoch runs every shard: for an idle one that only
+// moves its clock to the end. With the channel barrier and two or more
+// busy shards, all but the first are handed to the workers and the first
+// runs on the calling goroutine. The coordinator alone touches mailboxes
+// and channel buffers, and only between barriers, so the hand-off and the
+// WaitGroup join order every coordinator access strictly before/after the
+// workers' epoch (`go test -race` checks the construction).
+func (c *Coordinator) runBusy(horizon units.Time, final, par bool) {
+	busy := c.busy[:0]
+	for _, s := range c.shards {
+		if final || s.next < horizon {
+			busy = append(busy, s)
+		}
+	}
+	c.busy = busy
+	if !par || len(busy) < 2 {
+		for _, s := range busy {
 			s.runEpoch(horizon, final)
 		}
-		if c.interrupted() {
-			return
-		}
-		c.exchange()
-		if final {
-			return
-		}
-		t = horizon
+		return
 	}
+	c.horizon, c.final = horizon, final
+	c.wg.Add(len(busy) - 1)
+	for _, s := range busy[1:] {
+		c.work <- s
+	}
+	busy[0].runEpoch(horizon, final)
+	c.wg.Wait()
 }
 
-// epochCmd is one barrier round handed to a shard worker.
-type epochCmd struct {
-	horizon units.Time
-	final   bool
-}
-
-// runChannelBarrier runs epochs with one persistent worker goroutine per
-// shard. The coordinator alone touches mailboxes and channel buffers, and
-// only between barriers; command send and WaitGroup join order every
-// coordinator access strictly before/after the workers' epoch, so the
-// parallel mode is race-free by construction (and `go test -race` checks
-// the construction).
-func (c *Coordinator) runChannelBarrier(start, end units.Time) {
-	n := len(c.shards)
-	cmds := make([]chan epochCmd, n)
-	var wg sync.WaitGroup
-	for i, s := range c.shards {
-		cmds[i] = make(chan epochCmd)
-		go func(s *Shard, in <-chan epochCmd) {
-			for ep := range in {
-				s.runEpoch(ep.horizon, ep.final)
-				wg.Done()
+// startWorkers launches one worker goroutine per shard beyond the first:
+// the most an epoch ever hands off. The hand-off channel and the worker
+// function are made once per coordinator, so a run allocates nothing for
+// them in steady state.
+func (c *Coordinator) startWorkers() {
+	n := len(c.shards) - 1
+	if c.work == nil {
+		c.work = make(chan *Shard, n)
+		c.worker = func() {
+			for s := <-c.work; s != nil; s = <-c.work {
+				s.runEpoch(c.horizon, c.final)
+				c.wg.Done()
 			}
-		}(s, cmds[i])
-	}
-	for t := start; ; {
-		horizon, final := c.nextHorizon(t, end)
-		wg.Add(n)
-		for _, ch := range cmds {
-			ch <- epochCmd{horizon, final}
+			c.wg.Done() // the stop signal
 		}
-		wg.Wait()
-		if c.interrupted() {
-			break
-		}
-		c.exchange()
-		if final {
-			break
-		}
-		t = horizon
 	}
-	for _, ch := range cmds {
-		close(ch)
+	for i := 0; i < n; i++ {
+		go c.worker()
 	}
+}
+
+// stopWorkers ends and joins the workers. Deferred by RunUntil, it also
+// runs when an inline epoch panics, after the workers finish theirs.
+func (c *Coordinator) stopWorkers() {
+	n := len(c.shards) - 1
+	c.wg.Add(n)
+	for i := 0; i < n; i++ {
+		c.work <- nil
+	}
+	c.wg.Wait()
 }
 
 // runEpoch inserts the messages due in the epoch and executes it: events
@@ -319,21 +397,28 @@ func (s *Shard) deliverDue(horizon units.Time, inclusive bool) {
 		clear(s.pending[rest:]) // drop payload references
 		s.pending = s.pending[:rest]
 	}
+	s.pendMin = units.MaxTime
+	if len(s.pending) > 0 {
+		s.pendMin = s.pending[0].At
+	}
 }
 
-// exchange moves every channel's sends into its destination mailbox. The
-// mailbox is resorted lazily on the next delivery; (At, ch, seq) is a total
-// order, so the append order across channels is irrelevant.
+// exchange moves the sends of every channel that carried traffic since the
+// last barrier into its destination mailbox. The mailbox is resorted
+// lazily on the next delivery; (At, ch, seq) is a total order, so the
+// append order across channels is irrelevant.
 func (c *Coordinator) exchange() {
-	for _, ch := range c.chans {
-		if len(ch.box) == 0 {
-			continue
+	for _, s := range c.shards {
+		for _, ch := range s.sent {
+			d := ch.dst
+			d.pending = append(d.pending, ch.box...)
+			d.dirty = true
+			d.pendMin = min(d.pendMin, ch.minAt)
+			clear(ch.box) // drop payload references
+			ch.box = ch.box[:0]
 		}
-		d := ch.dst
-		d.pending = append(d.pending, ch.box...)
-		d.dirty = true
-		clear(ch.box) // drop payload references
-		ch.box = ch.box[:0]
+		clear(s.sent)
+		s.sent = s.sent[:0]
 	}
 }
 

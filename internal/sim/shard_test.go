@@ -253,3 +253,141 @@ func TestRunBefore(t *testing.T) {
 		t.Errorf("second RunBefore left %q", got)
 	}
 }
+
+// hopNode is a node of the idle-epoch test: it logs every event with its
+// exact timestamp and, while ev.A > 0, forwards a hop to the next node after
+// a long, grid-aligned delay, so most epochs between hops have nothing due.
+// Each node keeps its own log: nodes on different shards run concurrently.
+type hopNode struct {
+	name string
+	eng  *Engine
+	next int
+	out  []*Chan // out[j]: the channel to node j (nil for itself)
+	all  []*hopNode
+	lag  units.Duration
+	log  []string
+}
+
+func (n *hopNode) HandleEvent(ev *Event) {
+	n.log = append(n.log, fmt.Sprintf("%s %d %s %d", n.name, int64(n.eng.Now()), ev.Label(), ev.A))
+	switch {
+	case ev.A > 0:
+		m := n.out[n.next].Send(n.eng.Now().Add(n.lag*units.Duration(50+13*ev.A)), "hop", n.all[n.next])
+		m.A = ev.A - 1
+	case ev.A < 0: // a ping at the minimum lag: due in the very next epoch
+		m := n.out[n.next].Send(n.eng.Now().Add(n.lag), "ping", n.all[n.next])
+		m.A = ev.A + 1
+	}
+}
+
+// TestShardIdleEpochs drives the coordinator's activity-proportional paths
+// — idle-epoch skipping, busy-shard dispatch and the exchange of only the
+// channels that carried sends — with sparse traffic: hops separated by
+// hundreds of idle epochs, messages due exactly on the boundary that opens
+// the first epoch after a skip (next to a local event at the same
+// timestamp), sends made between RunUntil calls, epochs with exactly one
+// busy shard and a burst with three. The event history must be identical
+// on 1, 2 and 4 shards under both barrier modes, and far fewer epochs than
+// the grid holds may execute.
+func TestShardIdleEpochs(t *testing.T) {
+	const lag = 10 * units.Nanosecond
+	const nodes = 4
+	at := func(ns int64, ps int64) units.Time { return units.Time(ns*int64(units.Nanosecond) + ps) }
+	ends := []units.Time{at(3000, 5), at(9000, 0), at(14000, 0)}
+	type outcome struct {
+		log             string
+		epochs, skipped uint64
+	}
+	run := func(shards int, parallel bool) outcome {
+		coord, err := NewCoordinator(shards, lag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coord.Parallel = parallel
+		ns := make([]*hopNode, nodes)
+		for i := range ns {
+			ns[i] = &hopNode{name: fmt.Sprintf("n%d", i), eng: coord.Shard(i % shards).Eng,
+				next: (i + 1) % nodes, out: make([]*Chan, nodes), all: ns, lag: lag}
+		}
+		for i := range ns {
+			for j := range ns {
+				if i == j {
+					continue
+				}
+				if ns[i].out[j], err = coord.Channel(i%shards, j%shards, lag); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		kick := func(n int, when units.Time, label string, hops int64) {
+			ev := ns[n].eng.AtEvent(when, label, ns[n])
+			ev.A = hops
+		}
+		// Two hop chains. n0's first hop lands on n1 at exactly 1280 ns, a
+		// grid boundary after 127 idle epochs, where a local event waits.
+		kick(0, 0, "kick", 6)
+		kick(1, at(1280, 0), "local", 0)
+		kick(2, at(2503, 7), "kick", 5)
+		// A burst: three nodes busy in one epoch (three shards at shards=4).
+		kick(0, at(5000, 0), "burst", 0)
+		kick(2, at(5000, 1), "burst", 0)
+		kick(3, at(5003, 0), "burst", 1)
+		// Pings at the minimum lag, the first one off the grid after a
+		// long idle stretch.
+		kick(1, at(7777, 3), "kick", -3)
+		// The last instant of an epoch of the second run, whose grid starts
+		// at ends[0].
+		kick(2, at(8000, 4), "kick", -1)
+		coord.RunUntil(ends[0])
+		// Between-run sends, due at the second run's first boundary (its
+		// grid starts at ends[0], off the first run's grid) and after a skip.
+		m := ns[1].out[2].Send(ends[0].Add(lag), "between", ns[2])
+		m.A = 0
+		m = ns[3].out[0].Send(ends[0].Add(40*lag), "between", ns[0])
+		m.A = 2
+		coord.RunUntil(ends[1])
+		// Nothing is due by ends[2]: only the final epoch runs.
+		coord.RunUntil(ends[2])
+		for i := 0; i < shards; i++ {
+			if now := coord.Shard(i).Eng.Now(); now != ends[2] {
+				t.Fatalf("shards=%d parallel=%v: shard %d clock at %v, want %v", shards, parallel, i, now, ends[2])
+			}
+		}
+		var logs []string
+		for _, n := range ns {
+			logs = append(logs, strings.Join(n.log, "\n"))
+		}
+		return outcome{strings.Join(logs, "\n---\n"), coord.Epochs(), coord.Skipped()}
+	}
+	ref := run(1, false)
+	for _, want := range []string{"n1 1280000 local 0\nn1 1280000 hop 5", "between 0", "between 2", "burst 1", "n0 5633000 hop 0", "n0 7807003 ping 0"} {
+		if !strings.Contains(ref.log, want) {
+			t.Fatalf("reference history lacks %q:\n%s", want, ref.log)
+		}
+	}
+	var grid uint64
+	start := units.Time(0)
+	for _, end := range ends {
+		grid += uint64(end.Sub(start)/lag) + 1
+		start = end
+	}
+	t.Logf("executed %d of %d grid epochs", ref.epochs, grid)
+	if ref.epochs+ref.skipped != grid {
+		t.Errorf("executed %d + skipped %d epochs, want the grid's %d", ref.epochs, ref.skipped, grid)
+	}
+	if ref.epochs*10 > grid {
+		t.Errorf("executed %d of %d grid epochs; sparse traffic should skip nearly all", ref.epochs, grid)
+	}
+	for _, shards := range []int{1, 2, 4} {
+		for _, parallel := range []bool{false, true} {
+			got := run(shards, parallel)
+			if got.log != ref.log {
+				t.Errorf("shards=%d parallel=%v diverged:\n--- ref ---\n%s\n--- got ---\n%s", shards, parallel, ref.log, got.log)
+			}
+			if got.epochs != ref.epochs || got.skipped != ref.skipped {
+				t.Errorf("shards=%d parallel=%v: %d executed / %d skipped epochs, reference %d / %d",
+					shards, parallel, got.epochs, got.skipped, ref.epochs, ref.skipped)
+			}
+		}
+	}
+}

@@ -132,6 +132,15 @@ func (e *Engine) Processed() uint64 { return e.ran }
 // Pending reports how many events are scheduled but not yet executed.
 func (e *Engine) Pending() int { return e.queue.len() }
 
+// nextAt reports when the earliest pending event fires, or MaxTime when
+// none is pending.
+func (e *Engine) nextAt() units.Time {
+	if e.queue.len() == 0 {
+		return units.MaxTime
+	}
+	return e.queue.min().at
+}
+
 // alloc takes an Event from the free list, or makes one.
 func (e *Engine) alloc() *Event {
 	if n := len(e.free); n > 0 {
