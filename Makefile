@@ -4,7 +4,9 @@ GO ?= go
 
 all: vet build test
 
+# vet fails on any Go file that gofmt would rewrite, then runs go vet.
 vet:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l: not formatted:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 
 build:
@@ -152,17 +154,30 @@ smoke-examples: smoke-specs
 	done
 
 # smoke-specs exercises the declarative experiment surface: the registry
-# listing, and a parse + Quick()-scale run of every committed .json spec
+# listing, a parse + Quick()-scale run of every committed .json spec
 # (specs/ and the example specs), so a spec that drifts from the schema
-# fails CI instead of rotting.
+# fails CI instead of rotting, and the multi-id front end: a profiled
+# `run -id all` must leave both profiles, and an id list must print the
+# single-id tables joined by one blank line.
 smoke-specs:
 	@set -e; \
+	bin=$$(mktemp); dir=$$(mktemp -d); \
+	trap 'rm -rf "$$bin" "$$dir"' EXIT; \
+	$(GO) build -o "$$bin" ./cmd/ibsim; \
 	echo "== ibsim list"; \
-	$(GO) run ./cmd/ibsim list >/dev/null; \
+	"$$bin" list >/dev/null; \
 	for f in specs/*.json examples/*/spec.json; do \
 		[ -e "$$f" ] || continue; \
 		echo "== ibsim run -spec $$f"; \
-		$(GO) run ./cmd/ibsim run -spec "$$f" -measure 3ms -warmup 1ms -seeds 1 >/dev/null; \
-	done
+		"$$bin" run -spec "$$f" -measure 3ms -warmup 1ms -seeds 1 >/dev/null; \
+	done; \
+	win="-measure 500us -warmup 100us -seeds 1"; \
+	echo "== ibsim run -id all -cpuprofile -memprofile"; \
+	"$$bin" run -id all $$win -cpuprofile "$$dir/cpu.out" -memprofile "$$dir/mem.out" >/dev/null; \
+	test -s "$$dir/cpu.out"; test -s "$$dir/mem.out"; \
+	echo "== ibsim run -id fig7a,eq2"; \
+	"$$bin" run -id fig7a,eq2 $$win > "$$dir/list.txt"; \
+	{ "$$bin" run -id fig7a $$win; echo; "$$bin" run -id eq2 $$win; } > "$$dir/each.txt"; \
+	diff "$$dir/each.txt" "$$dir/list.txt"
 
 ci: vet build test race cover test-alloc test-shard test-faults test-serve test-workload test-perfbench test-debugpackets smoke-examples smoke-serve

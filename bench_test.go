@@ -29,13 +29,9 @@ func benchOpts() experiments.Options {
 // benchFigure runs one experiment per iteration and reports a headline
 // metric extracted from the table.
 func benchFigure(b *testing.B, id string, metric string, row, col int) {
-	runner, ok := experiments.ByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
 	var last float64
 	for i := 0; i < b.N; i++ {
-		tbl, err := runner(benchOpts())
+		tbl, err := experiments.RunID(id, benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}

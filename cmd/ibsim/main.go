@@ -8,15 +8,21 @@
 //	    List every registered experiment (the paper's figures, the
 //	    extension experiments and the fat-tree suite).
 //
-//	ibsim run -spec file.json [-measure 12ms] [-warmup 3ms] [-seeds 3]
-//	          [-parallel 0] [-shards 0] [-format text|csv|jsonl] [-out path]
-//	          [-generic]
+//	ibsim run -spec file.json | -id all|fig7a[,eq2,...]
+//	          [-measure 12ms] [-warmup 3ms] [-seeds 3] [-parallel 0]
+//	          [-shards 0] [-format text|csv|jsonl] [-out path] [-generic]
+//	          [-cpuprofile cpu.out] [-memprofile mem.out]
 //	    Execute a declarative experiment spec through the generic sweep
-//	    engine — arbitrary novel scenarios without recompiling. If the
-//	    spec's id matches a registered experiment, the registry's table
-//	    layout is applied (so an exported figure spec reproduces the
-//	    figure byte for byte); -generic forces the one-row-per-point
-//	    layout regardless.
+//	    engine — arbitrary novel scenarios without recompiling — or
+//	    regenerate registered experiments: one id, a comma-separated list,
+//	    or `all` (the paper's evaluation, Fig. 4-13 and Eq. 2, in paper
+//	    order). Tables stream through the chosen format in id order; text
+//	    tables are separated by a blank line. If a spec's id matches a
+//	    registered experiment, the registry's table layout is applied (so
+//	    an exported figure spec reproduces the figure byte for byte);
+//	    -generic forces the one-row-per-point layout regardless. -shards
+//	    overrides the shard count of every spec run. -cpuprofile and
+//	    -memprofile write pprof profiles of the run, also of a failing one.
 //
 //	ibsim export -id fig7a [-out path]
 //	    Write a registered experiment's spec as JSON: the starting point
@@ -51,10 +57,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"syscall"
 	"time"
@@ -108,7 +117,7 @@ func cmdList(args []string) {
 		}
 		fmt.Printf("%s %-*s  %s\n", tag, wid, d.ID, d.Title)
 	}
-	fmt.Println("\n* = regenerates a figure/table of the paper; run with `ibbench -fig <id>`")
+	fmt.Println("\n* = regenerates a figure/table of the paper; run with `ibsim run -id <id>` (`-id all` runs every * entry)")
 	fmt.Println("export any entry as a JSON starting point: `ibsim export -id <id>`")
 }
 
@@ -117,52 +126,56 @@ func cmdList(args []string) {
 func cmdRun(args []string) {
 	fs := flag.NewFlagSet("ibsim run", flag.ExitOnError)
 	specPath := fs.String("spec", "", "path to a JSON experiment spec (this or -id is required)")
-	id := fs.String("id", "", "registered experiment id to run directly (see `ibsim list`)")
+	id := fs.String("id", "", "registered experiment id, a comma-separated list of ids, or 'all' for the paper's figures (see `ibsim list`)")
 	measure := fs.Duration("measure", 12*time.Millisecond, "simulated measurement window")
 	warmup := fs.Duration("warmup", 3*time.Millisecond, "simulated warmup before measuring")
 	seeds := fs.Int("seeds", 3, "number of seeds to average (paper: 3 runs)")
 	parallel := fs.Int("parallel", 0, "scenario worker pool size (0 = GOMAXPROCS, 1 = sequential)")
-	shards := fs.Int("shards", 0, "override the spec's shard count (0 = use the spec; three-tier fat-trees admit up to one shard per pod)")
+	shards := fs.Int("shards", 0, "override each spec's shard count (0 = use the spec; three-tier fat-trees admit up to one shard per pod)")
 	format := fs.String("format", "text", "output format: text, csv or jsonl")
 	out := fs.String("out", "", "output file (default stdout)")
 	generic := fs.Bool("generic", false, "force the generic one-row-per-point layout even for registered ids")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "write an allocation profile to this file when the run ends")
 	must(fs.Parse(args))
 	if (*specPath == "") == (*id == "") {
 		fatal(fmt.Errorf("run: exactly one of -spec or -id is required"))
 	}
-	var spec experiments.Spec
-	var reg experiments.Definition
-	registered := *id != ""
-	if registered {
-		// Run a registered experiment directly, no export round-trip. An
-		// unknown id lists everything runnable, same as `ibsim export`.
-		d, ok := experiments.Lookup(*id)
-		if !ok {
-			fatal(fmt.Errorf("run: unknown experiment %q (valid: %s)", *id, strings.Join(experiments.IDs(), ", ")))
-		}
-		reg, spec = d, d.Spec
-	} else {
-		data, err := os.ReadFile(*specPath)
-		if err != nil {
-			fatal(err)
-		}
-		spec, err = experiments.ParseSpec(data)
-		if err != nil {
-			fatal(err)
-		}
+	newSink, ok := map[string]func(io.Writer) experiments.Sink{
+		"text":  experiments.NewTextSink,
+		"csv":   experiments.NewCSVSink,
+		"jsonl": experiments.NewJSONLSink,
+	}[*format]
+	if !ok {
+		fatal(fmt.Errorf("run: format %q unknown (valid: text, csv, jsonl)", *format))
 	}
-	if *shards != 0 {
-		if spec.Base == nil {
-			fatal(fmt.Errorf("run: -shards needs a spec with a base point; %q carries its shard counts in its variants", spec.ID))
+	specs := runSpecs(*specPath, *id)
+	defs := make([]experiments.Definition, len(specs))
+	for i, spec := range specs {
+		if *shards != 0 {
+			if spec.Base == nil {
+				fatal(fmt.Errorf("run: -shards needs a spec with a base point; %q carries its shard counts in its variants", spec.ID))
+			}
+			// Override a copy, never the registry's own base, and
+			// re-validate so out-of-range values fail with the spec
+			// validator's error, which quotes the valid range derived from
+			// the topology (1..Pods for three-tier fat-trees, else 1).
+			base := *spec.Base
+			base.Shards = *shards
+			spec.Base = &base
+			if err := spec.Validate(); err != nil {
+				fatal(fmt.Errorf("run: -shards on %q: %w", spec.ID, err))
+			}
 		}
-		// Re-validate after the override so out-of-range values fail with
-		// the spec validator's error, which quotes the valid range derived
-		// from the topology (1..Pods for three-tier fat-trees, else 1).
-		spec.Base.Shards = *shards
-		if err := spec.Validate(); err != nil {
-			fatal(err)
+		// A registered id (Register mirrors it into the spec) runs its
+		// registry definition, so a custom layout renders exactly as in
+		// the committed goldens. -generic bypasses the registry's layout
+		// but keeps the spec's identity, so downstream tooling keying on
+		// the id still sees it.
+		defs[i] = experiments.DefinitionFor(spec)
+		if *generic {
+			defs[i] = experiments.Definition{ID: defs[i].ID, Title: spec.Title, Spec: spec}
 		}
-		reg.Spec = spec
 	}
 	// ^C / SIGTERM cancels the sweep: dispatch stops, the running
 	// simulations abort at their next interrupt poll, and the run exits
@@ -178,52 +191,121 @@ func cmdRun(args []string) {
 	for s := 1; s <= *seeds; s++ {
 		opts.Seeds = append(opts.Seeds, uint64(s))
 	}
-	var tbl *experiments.Table
-	var err error
-	switch {
-	case *generic:
-		// Bypass the registry's layout but keep the spec's identity, so
-		// downstream tooling keying on the id still sees it.
-		sid := spec.ID
-		if sid == "" {
-			sid = "custom"
-		}
-		tbl, err = experiments.RunSpec(experiments.Definition{ID: sid, Title: spec.Title, Spec: spec}, opts)
-	case registered:
-		// -id runs the definition itself, so a registered custom layout
-		// (columns + reduce) renders exactly as in the committed goldens.
-		tbl, err = experiments.RunSpec(reg, opts)
-	default:
-		tbl, err = experiments.RunSpecGeneric(spec, opts)
-	}
+	finishProfiles := startProfiles(*cpuProfile, *memProfile)
+	err := runDefinitions(defs, opts, *out, newSink)
+	finishProfiles() // before any exit: a failing run's profile still lands
 	if err != nil {
-		if ctx.Err() != nil {
-			fatal(fmt.Errorf("run: interrupted, no table written (%w)", err))
-		}
 		fatal(err)
 	}
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
+}
+
+// runSpecs loads the specs a run executes: the -spec file, or the
+// registered specs named by -id ("all" = the paper's figures in paper
+// order). An unknown id lists everything runnable, same as `ibsim export`.
+func runSpecs(specPath, ids string) []experiments.Spec {
+	if specPath != "" {
+		data, err := os.ReadFile(specPath)
+		if err != nil {
+			fatal(err)
+		}
+		spec, err := experiments.ParseSpec(data)
+		if err != nil {
+			fatal(err)
+		}
+		return []experiments.Spec{spec}
+	}
+	var specs []experiments.Spec
+	if ids == "all" {
+		for _, d := range experiments.Definitions() {
+			if d.Paper {
+				specs = append(specs, d.Spec)
+			}
+		}
+		return specs
+	}
+	for _, id := range strings.Split(ids, ",") {
+		id = strings.TrimSpace(id)
+		d, ok := experiments.Lookup(id)
+		if !ok {
+			fatal(fmt.Errorf("run: unknown experiment %q (valid: %s)", id, strings.Join(experiments.IDs(), ", ")))
+		}
+		specs = append(specs, d.Spec)
+	}
+	return specs
+}
+
+// runDefinitions runs the definitions in order and streams each table
+// through one sink as soon as it is assembled. The output file is created
+// with the first table, so a run that fails before any table leaves none.
+func runDefinitions(defs []experiments.Definition, opts experiments.Options, out string, newSink func(io.Writer) experiments.Sink) (err error) {
+	var sink experiments.Sink
+	for _, d := range defs {
+		tbl, err := experiments.RunSpec(d, opts)
+		if err != nil {
+			if opts.Ctx.Err() != nil {
+				return fmt.Errorf("run: interrupted, no %s table written (%w)", d.ID, err)
+			}
+			return err
+		}
+		if sink == nil {
+			w := os.Stdout
+			if out != "" {
+				f, err := os.Create(out)
+				if err != nil {
+					return err
+				}
+				defer func() {
+					if cerr := f.Close(); err == nil {
+						err = cerr
+					}
+				}()
+				w = f
+			}
+			sink = newSink(w)
+		}
+		if err := tbl.Emit(sink); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// startProfiles starts the -cpuprofile/-memprofile profiles and returns
+// the function that finalizes them. It must run before every exit that
+// follows the run's start: fatal exits with os.Exit, which would skip
+// defers and leave an unflushed CPU profile and no heap profile, and
+// profiling a failing run is exactly when the data matters. The CPU
+// profile is the supported way to audit the hot path; the allocation
+// profile should show setup only (DESIGN.md "Hot-path memory discipline").
+func startProfiles(cpuProfile, memProfile string) func() {
+	stopCPU := func() {}
+	if cpuProfile != "" {
+		f, err := os.Create(cpuProfile)
+		if err != nil {
+			fatal(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fatal(err)
+		}
+		stopCPU = func() {
+			pprof.StopCPUProfile()
+			f.Close()
+		}
+	}
+	return func() {
+		stopCPU()
+		if memProfile == "" {
+			return
+		}
+		f, err := os.Create(memProfile)
 		if err != nil {
 			fatal(err)
 		}
 		defer f.Close()
-		w = f
-	}
-	var sink experiments.Sink
-	switch *format {
-	case "text":
-		sink = experiments.NewTextSink(w)
-	case "csv":
-		sink = experiments.NewCSVSink(w)
-	case "jsonl":
-		sink = experiments.NewJSONLSink(w)
-	default:
-		fatal(fmt.Errorf("run: format %q unknown (valid: text, csv, jsonl)", *format))
-	}
-	if err := tbl.Emit(sink); err != nil {
-		fatal(err)
+		runtime.GC() // flush dead setup objects so live retention reads true
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			fatal(err)
+		}
 	}
 }
 
@@ -351,6 +433,7 @@ func playgroundFlags() (*flag.FlagSet, *playgroundConfig) {
 		fmt.Fprintln(w, "Usage:")
 		fmt.Fprintln(w, "  ibsim list                      list registered experiments")
 		fmt.Fprintln(w, "  ibsim run -spec file.json ...   run a declarative JSON experiment spec")
+		fmt.Fprintln(w, "  ibsim run -id all|<ids> ...     regenerate registered experiments")
 		fmt.Fprintln(w, "  ibsim export -id fig7a ...      write a registered spec as JSON")
 		fmt.Fprintln(w, "  ibsim serve -addr host:port ... serve specs over HTTP (crash-safe, resumable)")
 		fmt.Fprintln(w, "  ibsim [flags]                   playground: one converged scenario")

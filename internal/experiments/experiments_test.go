@@ -227,7 +227,7 @@ func TestTableFormatting(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := tbl.WriteCSV(&buf); err != nil {
+	if err := tbl.Emit(NewCSVSink(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	if got := buf.String(); got != "a,b\n1,2\n" {
@@ -235,13 +235,48 @@ func TestTableFormatting(t *testing.T) {
 	}
 }
 
-func TestByID(t *testing.T) {
-	for _, id := range []string{"fig4", "fig5", "fig6", "fig7a", "fig7b", "fig8", "fig9", "eq2", "fig10", "fig11", "fig12", "fig13", "incast", "alltoall", "crossspine"} {
-		if _, ok := ByID(id); !ok {
-			t.Errorf("missing runner %s", id)
+// One sink takes tables in turn, as `ibsim run -id a,b` streams them: the
+// text sink renders each exactly as alone, separated by one blank line,
+// and forgets the previous table's rows; CSV concatenates the tables.
+func TestSinkTakesTablesInTurn(t *testing.T) {
+	a := &Table{ID: "a", Title: "wide", Columns: []string{"x", "y"}}
+	a.AddRow("1", "longer-cell")
+	a.AddRow("2", "3")
+	b := &Table{ID: "b", Title: "narrow", Columns: []string{"z"}, Notes: []string{"n"}}
+	b.AddRow("4")
+	var text, csv bytes.Buffer
+	ts, cs := NewTextSink(&text), NewCSVSink(&csv)
+	for _, tbl := range []*Table{a, b} {
+		if err := tbl.Emit(ts); err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.Emit(cs); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if _, ok := ByID("fig99"); ok {
+	if want := a.String() + "\n" + b.String(); text.String() != want {
+		t.Errorf("text = %q, want %q", text.String(), want)
+	}
+	if want := "x,y\n1,longer-cell\n2,3\nz\n4\n"; csv.String() != want {
+		t.Errorf("csv = %q, want %q", csv.String(), want)
+	}
+}
+
+// TestLookup: every registered id resolves, and its spec carries the id
+// back to the same definition, which is how `ibsim run -id` finds the
+// registry's layout for it.
+func TestLookup(t *testing.T) {
+	for _, id := range IDs() {
+		d, ok := Lookup(id)
+		if !ok || d.ID != id {
+			t.Errorf("Lookup(%q) = %q, %v", id, d.ID, ok)
+			continue
+		}
+		if got := DefinitionFor(d.Spec); got.ID != id || (got.Reduce == nil) != (d.Reduce == nil) {
+			t.Errorf("DefinitionFor(spec of %q) resolves to %q", id, got.ID)
+		}
+	}
+	if _, ok := Lookup("fig99"); ok {
 		t.Error("unknown id should not resolve")
 	}
 }

@@ -93,9 +93,9 @@ func (o Options) start() units.Time { return units.Time(0).Add(o.Warmup) }
 type Result struct {
 	LSG     stats.Summary
 	LSGHist *stats.Histogram `json:"-"`
-	BSGGbps []float64 // per-BSG goodput, source order
-	Pretend float64   // pretend-LSG goodput (Gb/s), if enabled
-	Total   float64   // total bulk goodput including the pretend flow
+	BSGGbps []float64        // per-BSG goodput, source order
+	Pretend float64          // pretend-LSG goodput (Gb/s), if enabled
+	Total   float64          // total bulk goodput including the pretend flow
 	// RPerf measurements in nanoseconds (rperf group).
 	RPerfMedNs, RPerfTailNs float64
 	// Baseline-tool measurements in microseconds (perftest/qperf groups).

@@ -49,15 +49,20 @@ func (t *Table) Emit(s Sink) error {
 // row, including cells beyond the header — a row wider than Columns
 // renders (the extra cells get their own columns) instead of panicking.
 type textSink struct {
-	w    io.Writer
-	meta TableMeta
-	rows [][]string
+	w       io.Writer
+	meta    TableMeta
+	rows    [][]string
+	written bool // a table was already rendered: separate the next one
 }
 
-// NewTextSink returns the aligned-text sink (the `ibbench` default).
+// NewTextSink returns the aligned-text sink (the `ibsim run` default). It
+// takes any number of tables in turn and separates them by a blank line.
 func NewTextSink(w io.Writer) Sink { return &textSink{w: w} }
 
-func (s *textSink) Begin(meta TableMeta) error { s.meta = meta; return nil }
+func (s *textSink) Begin(meta TableMeta) error {
+	s.meta, s.rows = meta, nil
+	return nil
+}
 func (s *textSink) Row(cells []string) error {
 	s.rows = append(s.rows, cells)
 	return nil
@@ -65,6 +70,10 @@ func (s *textSink) Row(cells []string) error {
 
 func (s *textSink) End() error {
 	var b strings.Builder
+	if s.written {
+		b.WriteByte('\n')
+	}
+	s.written = true
 	fmt.Fprintf(&b, "== %s: %s ==\n", s.meta.ID, s.meta.Title)
 	widths := make([]int, len(s.meta.Columns))
 	for i, c := range s.meta.Columns {

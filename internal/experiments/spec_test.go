@@ -81,11 +81,11 @@ func TestSpecPointsPure(t *testing.T) {
 		t.Fatal("fig8 not registered")
 	}
 	before, _ := json.Marshal(d.Spec.Base)
-	p1, err := d.Spec.Points()
+	p1, err := d.Spec.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := d.Spec.Points()
+	p2, err := d.Spec.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestSpecPointsPure(t *testing.T) {
 	if string(before) != string(after) {
 		t.Errorf("resolution mutated the base point:\nbefore %s\nafter  %s", before, after)
 	}
-	if p1[0].Workload[0].Payload == p1[1].Workload[0].Payload {
+	if p1[0].Point.Workload[0].Payload == p1[1].Point.Workload[0].Payload {
 		t.Error("payload axis did not vary the points")
 	}
 }
@@ -377,9 +377,9 @@ func TestExportedSpecParses(t *testing.T) {
 }
 
 // Regression: an empty sweep axis multiplied the grid size down to zero,
-// so Points() returned an empty list — and a sweep an empty table — with
+// so Resolve() returned an empty list — and a sweep an empty table — with
 // no error. Spec.Validate already rejects empty value lists in parsed
-// specs, but Points() is exported and reachable with a programmatically
+// specs, but Resolve() is exported and reachable with a programmatically
 // built spec that was never validated; the resolver must fail loudly,
 // naming the offending axis.
 func TestPointsRejectEmptyAxis(t *testing.T) {
@@ -391,9 +391,9 @@ func TestPointsRejectEmptyAxis(t *testing.T) {
 		Sweep:   []Axis{{Field: AxisBSGs}}, // no counts: Len() == 0
 		Collect: []string{"lsg_p50_us"},
 	}
-	pts, err := s.Points()
+	pts, err := s.Resolve()
 	if err == nil {
-		t.Fatalf("Points() accepted an empty axis and returned %d points", len(pts))
+		t.Fatalf("Resolve() accepted an empty axis and returned %d points", len(pts))
 	}
 	for _, want := range []string{"sweep[0]", AxisBSGs} {
 		if !strings.Contains(err.Error(), want) {

@@ -43,7 +43,7 @@ type Definition struct {
 	Spec    Spec
 	Reduce  ReduceFunc
 	// Paper marks the definitions that regenerate the paper's own
-	// figures (the set All runs, in paper order).
+	// figures (the set All and `ibsim run -id all` run, in paper order).
 	Paper bool
 }
 
@@ -54,29 +54,16 @@ type ResolvedPoint struct {
 	Labels []string
 }
 
-// Points resolves the sweep grid in enumeration order: the cross product
-// of the axes, first axis outermost (slowest-varying). With no axes the
-// grid is the base point alone.
-func (s Spec) Points() ([]Point, error) {
-	rps, err := s.Resolve()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Point, len(rps))
-	for i, rp := range rps {
-		out[i] = rp.Point
-	}
-	return out, nil
-}
-
-// Resolve returns the sweep grid with labels, in enumeration order — the
-// job list an external scheduler (the serve package) fans out itself.
+// Resolve returns the sweep grid with labels, in enumeration order: the
+// cross product of the axes, first axis outermost (slowest-varying). With
+// no axes the grid is the base point alone. It is also the job list an
+// external scheduler (the serve package) fans out itself.
 func (s Spec) Resolve() ([]ResolvedPoint, error) {
 	n := 1
 	for a, ax := range s.Sweep {
 		// An empty axis would multiply the grid down to zero points and
 		// produce an empty table with no error. Spec.Validate rejects empty
-		// value lists in parsed specs, but Points/Resolve are also
+		// value lists in parsed specs, but Resolve is also
 		// reachable with programmatically-built specs that were never
 		// validated — fail loudly here too, naming the offending axis.
 		if ax.Len() == 0 {

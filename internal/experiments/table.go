@@ -2,13 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"strings"
 )
 
 // Table is a formatted experiment result: the rows a figure plots. The
-// renderers live in sink.go; String and WriteCSV are conveniences over the
-// corresponding sinks.
+// renderers live in sink.go; String is a convenience over the text sink.
 type Table struct {
 	ID      string // experiment id, e.g. "fig7a"
 	Title   string
@@ -28,13 +26,6 @@ func (t *Table) String() string {
 	_ = t.Emit(NewTextSink(&b))
 	return b.String()
 }
-
-// WriteCSV emits the table as CSV (header row first).
-func (t *Table) WriteCSV(w io.Writer) error { return t.Emit(NewCSVSink(w)) }
-
-// WriteJSONL emits the table as JSON lines (a header object, then one
-// object per row).
-func (t *Table) WriteJSONL(w io.Writer) error { return t.Emit(NewJSONLSink(w)) }
 
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }

@@ -222,7 +222,7 @@ func (s *xvlSend) grantWaiters() {
 		n := copy(s.waiters, s.waiters[1:])
 		s.waiters[n] = waiter{}
 		s.waiters = s.waiters[:n]
-		wt.grant()
+		wt.w.CreditGranted()
 	}
 }
 
@@ -236,25 +236,16 @@ func (g *CrossSendGate) TryReserve(vl ib.VL, bytes units.ByteSize) bool {
 	return true
 }
 
-// ReserveWhenAvailable implements Gate.
-func (g *CrossSendGate) ReserveWhenAvailable(vl ib.VL, bytes units.ByteSize, fn func()) {
-	g.reserveQueued(vl, waiter{bytes: bytes, fn: fn})
-}
-
 // ReserveForWaiter implements Gate.
 func (g *CrossSendGate) ReserveForWaiter(vl ib.VL, bytes units.ByteSize, w Waiter) {
-	g.reserveQueued(vl, waiter{bytes: bytes, w: w})
-}
-
-func (g *CrossSendGate) reserveQueued(vl ib.VL, wt waiter) {
 	s := &g.vls[vl]
-	if len(s.waiters) == 0 && s.avail >= wt.bytes {
-		s.take(wt.bytes)
-		wt.grant()
+	if len(s.waiters) == 0 && s.avail >= bytes {
+		s.take(bytes)
+		w.CreditGranted()
 		return
 	}
 	s.hadWaiters = true
-	s.waiters = append(s.waiters, wt)
+	s.waiters = append(s.waiters, waiter{bytes: bytes, w: w})
 }
 
 // Unreserve returns a losing arbitration candidate's reservation. Hooks are

@@ -78,7 +78,7 @@ func TestCrossGateCreditRoundTrip(t *testing.T) {
 			t.Fatalf("shards=%d: avail = %d, want %d", shards, got, window-200)
 		}
 		granted := false
-		f.sgate.ReserveWhenAvailable(0, 200, func() { granted = true })
+		f.sgate.ReserveForWaiter(0, 200, waiterFunc(func() { granted = true }))
 		// Simulate the packet's life on the receiving shard: arrival, then a
 		// departure that triggers the credit return.
 		recv := f.coord.Shard(shards - 1).Eng

@@ -43,10 +43,9 @@ type Endpoint interface {
 	DeliverArrival(pkt *ib.Packet, arriveStart, arriveEnd units.Time)
 }
 
-// Waiter is notified when a blocked reservation is granted. It is the
-// allocation-free counterpart of ReserveWhenAvailable's closure: a
-// transmitter that blocks on credits registers itself (a long-lived object)
-// instead of capturing a per-packet closure.
+// Waiter is notified when a blocked reservation is granted. A transmitter
+// that blocks on credits registers itself (a long-lived object) instead of
+// capturing a per-packet closure, so the reservation allocates nothing.
 type Waiter interface {
 	CreditGranted()
 }
@@ -55,12 +54,8 @@ type Waiter interface {
 type Gate interface {
 	// TryReserve takes bytes of credit for vl if available.
 	TryReserve(vl ib.VL, bytes units.ByteSize) bool
-	// ReserveWhenAvailable runs fn once bytes of credit for vl have been
-	// reserved on the caller's behalf. Callbacks are FIFO per VL.
-	ReserveWhenAvailable(vl ib.VL, bytes units.ByteSize, fn func())
-	// ReserveForWaiter is ReserveWhenAvailable without the closure: w is
-	// notified once the bytes have been reserved. Waiters and closures
-	// share one FIFO per VL.
+	// ReserveForWaiter notifies w once bytes of credit for vl have been
+	// reserved on the caller's behalf. Waiters are served FIFO per VL.
 	ReserveForWaiter(vl ib.VL, bytes units.ByteSize, w Waiter)
 }
 
@@ -71,9 +66,6 @@ type Unlimited struct{}
 
 // TryReserve always succeeds.
 func (Unlimited) TryReserve(ib.VL, units.ByteSize) bool { return true }
-
-// ReserveWhenAvailable runs fn immediately.
-func (Unlimited) ReserveWhenAvailable(_ ib.VL, _ units.ByteSize, fn func()) { fn() }
 
 // ReserveForWaiter notifies w immediately.
 func (Unlimited) ReserveForWaiter(_ ib.VL, _ units.ByteSize, w Waiter) { w.CreditGranted() }
@@ -186,20 +178,10 @@ func (w *Wire) HandleEvent(ev *sim.Event) {
 	w.peer.DeliverArrival(ev.Ptr.(*ib.Packet), ev.T0, ev.T1)
 }
 
-// waiter is one queued reservation: either a closure (fn) or a Waiter (w).
+// waiter is one queued reservation: its bytes and the Waiter to notify.
 type waiter struct {
 	bytes units.ByteSize
-	fn    func()
 	w     Waiter
-}
-
-// grant notifies the blocked transmitter that its bytes are reserved.
-func (wt waiter) grant() {
-	if wt.w != nil {
-		wt.w.CreditGranted()
-		return
-	}
-	wt.fn()
 }
 
 type vlState struct {
@@ -330,7 +312,7 @@ func (s *vlState) takeAvail(bytes units.ByteSize) {
 // once per packet.
 func (s *vlState) popWaiter() {
 	n := copy(s.waiters, s.waiters[1:])
-	s.waiters[n] = waiter{} // drop the closure/waiter references
+	s.waiters[n] = waiter{} // drop the waiter reference
 	s.waiters = s.waiters[:n]
 }
 
@@ -343,7 +325,7 @@ func (s *vlState) grantWaiters() {
 		}
 		s.takeAvail(wt.bytes)
 		s.popWaiter()
-		wt.grant()
+		wt.w.CreditGranted()
 	}
 }
 
@@ -371,26 +353,17 @@ func (g *BufferGate) TryReserve(vl ib.VL, bytes units.ByteSize) bool {
 	return true
 }
 
-// ReserveWhenAvailable implements Gate.
-func (g *BufferGate) ReserveWhenAvailable(vl ib.VL, bytes units.ByteSize, fn func()) {
-	g.reserveQueued(vl, waiter{bytes: bytes, fn: fn})
-}
-
-// ReserveForWaiter implements Gate (the zero-allocation reservation path).
+// ReserveForWaiter implements Gate.
 func (g *BufferGate) ReserveForWaiter(vl ib.VL, bytes units.ByteSize, w Waiter) {
-	g.reserveQueued(vl, waiter{bytes: bytes, w: w})
-}
-
-func (g *BufferGate) reserveQueued(vl ib.VL, wt waiter) {
 	s := &g.vls[vl]
-	if len(s.waiters) == 0 && s.avail >= wt.bytes {
-		s.takeAvail(wt.bytes)
-		wt.grant()
+	if len(s.waiters) == 0 && s.avail >= bytes {
+		s.takeAvail(bytes)
+		w.CreditGranted()
 		return
 	}
 	s.minAvail = 0 // a queued waiter means the sender is credit-limited
 	s.hadWaiters = true
-	s.waiters = append(s.waiters, wt)
+	s.waiters = append(s.waiters, waiter{bytes: bytes, w: w})
 }
 
 // Unreserve returns a reservation that will not be used (an arbitration
@@ -400,8 +373,8 @@ func (g *BufferGate) reserveQueued(vl ib.VL, wt waiter) {
 // Unlike scheduleRelease, Unreserve deliberately does NOT fire the
 // onRelease hooks, and under the current wiring that is safe. Each gate
 // guards one ingress buffer fed by exactly one transmitter. Gates whose
-// transmitter is an RNIC (the only users of ReserveWhenAvailable, hence
-// the only gates with waiters) never see Unreserve, because RNIC egress is
+// transmitter is an RNIC (the only users of ReserveForWaiter, hence the
+// only gates with waiters) never see Unreserve, because RNIC egress is
 // a wire, not an arbiter. Gates whose transmitter is a switch egress port
 // see Unreserve only from that port's own pick(): the pick always ends by
 // transmitting the winning candidate, which re-schedules the same port's

@@ -76,11 +76,6 @@ func TestUnlimitedGate(t *testing.T) {
 	if !g.TryReserve(0, 1<<40) {
 		t.Fatal("unlimited gate refused")
 	}
-	ran := false
-	g.ReserveWhenAvailable(0, 1<<40, func() { ran = true })
-	if !ran {
-		t.Fatal("unlimited gate did not run callback immediately")
-	}
 }
 
 func newGate(eng *sim.Engine, window units.ByteSize) *BufferGate {
@@ -97,7 +92,7 @@ func TestGateReserveAndRelease(t *testing.T) {
 		t.Fatal("over-reserve succeeded")
 	}
 	woke := false
-	g.ReserveWhenAvailable(0, 600, func() { woke = true })
+	g.ReserveForWaiter(0, 600, waiterFunc(func() { woke = true }))
 	// Packet arrives and departs; headroom opens because the flow is not
 	// oversubscribed (no rate estimates yet -> target = window).
 	g.OnArrive(0, 600)
@@ -115,8 +110,8 @@ func TestGateWaitersFIFO(t *testing.T) {
 		t.Fatal("reserve failed")
 	}
 	var order []int
-	g.ReserveWhenAvailable(0, 400, func() { order = append(order, 1) })
-	g.ReserveWhenAvailable(0, 400, func() { order = append(order, 2) })
+	g.ReserveForWaiter(0, 400, waiterFunc(func() { order = append(order, 1) }))
+	g.ReserveForWaiter(0, 400, waiterFunc(func() { order = append(order, 2) }))
 	g.OnArrive(0, 1000)
 	g.OnDepart(0, 1000)
 	eng.Run()
@@ -129,7 +124,7 @@ func TestGateTryReserveRespectsWaiters(t *testing.T) {
 	eng := sim.New()
 	g := newGate(eng, 1000)
 	g.TryReserve(0, 900)
-	g.ReserveWhenAvailable(0, 500, func() {})
+	g.ReserveForWaiter(0, 500, waiterFunc(func() {}))
 	// 100 bytes are free but a waiter queues ahead: FIFO order demands
 	// TryReserve fail even for a small request.
 	if g.TryReserve(0, 50) {
@@ -213,7 +208,7 @@ func driveFlow(t *testing.T, window units.ByteSize, pkt units.ByteSize, senderPe
 
 	var send func()
 	send = func() {
-		g.ReserveWhenAvailable(0, pkt, func() {
+		g.ReserveForWaiter(0, pkt, waiterFunc(func() {
 			// Model sender pacing: next injection no sooner than period.
 			eng.After(senderPeriod, "inject", func() {
 				g.OnArrive(0, pkt)
@@ -224,7 +219,7 @@ func driveFlow(t *testing.T, window units.ByteSize, pkt units.ByteSize, senderPe
 				}
 				send()
 			})
-		})
+		}))
 	}
 	send()
 	eng.RunUntil(units.Time(6 * units.Millisecond))
@@ -331,7 +326,7 @@ func TestStoppedSenderPeakReWindows(t *testing.T) {
 		if eng.Now() >= stop {
 			return
 		}
-		g.ReserveWhenAvailable(0, pkt, func() {
+		g.ReserveForWaiter(0, pkt, waiterFunc(func() {
 			eng.After(period(), "inject", func() {
 				g.OnArrive(0, pkt)
 				inBuf += pkt
@@ -341,7 +336,7 @@ func TestStoppedSenderPeakReWindows(t *testing.T) {
 				}
 				send()
 			})
-		})
+		}))
 	}
 	send()
 	eng.RunUntil(stop)
@@ -374,33 +369,12 @@ func TestUnlimitedGateWaiter(t *testing.T) {
 	}
 }
 
-// Waiter-interface and closure reservations share one FIFO per VL, in
-// strict arrival order.
-func TestGateWaiterAndClosureShareFIFO(t *testing.T) {
-	eng := sim.New()
-	g := newGate(eng, 1000)
-	if !g.TryReserve(0, 1000) {
-		t.Fatal("reserve failed")
-	}
-	var order []string
-	g.ReserveWhenAvailable(0, 300, func() { order = append(order, "fn1") })
-	g.ReserveForWaiter(0, 300, waiterFunc(func() { order = append(order, "w") }))
-	g.ReserveWhenAvailable(0, 300, func() { order = append(order, "fn2") })
-	g.OnArrive(0, 1000)
-	g.OnDepart(0, 1000)
-	eng.Run()
-	if len(order) != 3 || order[0] != "fn1" || order[1] != "w" || order[2] != "fn2" {
-		t.Fatalf("grant order = %v, want [fn1 w fn2]", order)
-	}
-}
-
 // waiterFunc adapts a func to Waiter for tests.
 type waiterFunc func()
 
 func (f waiterFunc) CreditGranted() { f() }
 
-// The waiter path must grant immediately when credit is on hand, exactly
-// like the closure path.
+// A waiter must be granted immediately when credit is on hand.
 func TestGateWaiterImmediateGrant(t *testing.T) {
 	eng := sim.New()
 	g := newGate(eng, 1000)
@@ -426,7 +400,7 @@ func TestUnreserveOnWaitedVLPanics(t *testing.T) {
 	}
 	// Exhaust the window so the next reservation queues: the VL now has
 	// (and latches) waiters, marking the gate RNIC-fed.
-	g.ReserveWhenAvailable(0, 400, func() {})
+	g.ReserveForWaiter(0, 400, waiterFunc(func() {}))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Unreserve on a VL with queued waiters did not panic")

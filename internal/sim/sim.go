@@ -1,8 +1,9 @@
 // Package sim implements the discrete-event simulation engine underneath
 // the InfiniBand fabric model.
 //
-// The engine is a classic calendar: events are closures scheduled at
-// absolute picosecond timestamps and executed in time order. Two properties
+// The engine is a classic calendar: events are handler calls (or closures,
+// via At/After) scheduled at absolute picosecond timestamps and executed in
+// time order. Two properties
 // matter for reproducing the paper's measurements:
 //
 //   - Determinism. Ties (events at the same timestamp) execute in the order
@@ -56,12 +57,11 @@ type Handler interface {
 	HandleEvent(ev *Event)
 }
 
-// Event is a scheduled action: either a closure (At/After) or a Handler
-// dispatch with an inline payload (AtEvent/AfterEvent).
+// Event is a scheduled action: a Handler dispatch with an inline payload
+// (AtEvent/AfterEvent). At/After wrap their closure in a Handler.
 type Event struct {
 	at    units.Time
 	seq   uint64 // tie-break: FIFO among equal timestamps
-	fn    func()
 	h     Handler
 	index int   // slot within the wheel bucket or far heap (0 in the drain buffer, found by key); -1 once popped or canceled
 	lvl   int8  // location code: wheel level, locDrain, or locFar (see wheel.go)
@@ -154,27 +154,22 @@ func (e *Engine) alloc() *Event {
 
 // release returns a fired or canceled Event to the free list.
 func (e *Engine) release(ev *Event) {
-	ev.fn = nil
 	ev.h = nil
 	ev.label = ""
 	ev.Ptr = nil
 	e.free = append(e.free, ev)
 }
 
+// funcHandler adapts an At/After closure to Handler. A func value is a
+// single pointer, so the conversion to the interface does not allocate.
+type funcHandler func()
+
+func (f funcHandler) HandleEvent(*Event) { f() }
+
 // At schedules fn to run at absolute time at. Scheduling in the past is a
 // programming error and panics, because it would silently corrupt causality.
 func (e *Engine) At(at units.Time, label string, fn func()) *Event {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: scheduling %q at %v, before now %v", label, at, e.now))
-	}
-	ev := e.alloc()
-	ev.at = at
-	ev.seq = e.seq
-	ev.fn = fn
-	ev.label = label
-	e.seq++
-	e.queue.push(ev)
-	return ev
+	return e.AtEvent(at, label, funcHandler(fn))
 }
 
 // After schedules fn to run d after the current time. A delay so large
@@ -183,14 +178,7 @@ func (e *Engine) At(at units.Time, label string, fn func()) *Event {
 // of wrapping negative — the event is effectively "never", which is the
 // only sensible meaning of a timestamp the clock cannot represent.
 func (e *Engine) After(d units.Duration, label string, fn func()) *Event {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v for %q", d, label))
-	}
-	at := e.now.Add(d)
-	if at < e.now {
-		at = units.MaxTime
-	}
-	return e.At(at, label, fn)
+	return e.AfterEvent(d, label, funcHandler(fn))
 }
 
 // AtEvent schedules h.HandleEvent to run at absolute time at, without
@@ -307,11 +295,7 @@ func (e *Engine) Step() bool {
 		e.Trace(ev.at, ev.label)
 	}
 	e.ran++
-	if ev.fn != nil {
-		ev.fn()
-	} else {
-		ev.h.HandleEvent(ev)
-	}
+	ev.h.HandleEvent(ev)
 	// Recycled only after the body returns, so a handler canceling or
 	// inspecting the event that invoked it observes a stable (fired) state.
 	e.release(ev)

@@ -37,7 +37,7 @@ func TestTypedEventCarriesPayload(t *testing.T) {
 func TestTypedAndClosureEventsShareFIFOTies(t *testing.T) {
 	e := New()
 	var order []int
-	h := &funcHandler{fn: func(ev *Event) { order = append(order, int(ev.A)) }}
+	h := &eventFunc{fn: func(ev *Event) { order = append(order, int(ev.A)) }}
 	for i := 0; i < 6; i++ {
 		if i%2 == 0 {
 			ev := e.AtEvent(50, "typed", h)
@@ -55,9 +55,9 @@ func TestTypedAndClosureEventsShareFIFOTies(t *testing.T) {
 	}
 }
 
-type funcHandler struct{ fn func(ev *Event) }
+type eventFunc struct{ fn func(ev *Event) }
 
-func (h *funcHandler) HandleEvent(ev *Event) { h.fn(ev) }
+func (h *eventFunc) HandleEvent(ev *Event) { h.fn(ev) }
 
 // A recycled typed event must not pin its payload: release clears Ptr.
 func TestTypedEventReleaseClearsPtr(t *testing.T) {
@@ -115,7 +115,7 @@ func TestAtEventNilHandlerPanics(t *testing.T) {
 // point of its existence.
 func TestTypedEventSteadyStateZeroAlloc(t *testing.T) {
 	e := New()
-	h := &funcHandler{fn: func(*Event) {}}
+	h := &eventFunc{fn: func(*Event) {}}
 	// Warm the free list and the queue.
 	for i := 0; i < 64; i++ {
 		e.AfterEvent(units.Duration(i), "warm", h)
